@@ -1,9 +1,9 @@
 package repro
 
 // Contention benchmarks for the serving hot path (DESIGN.md §11): the
-// lock-free sharded dispatch path versus the fully mutex-serialized
-// baseline, under parallel load. cmd/bladebench captures both in the
-// BENCH_<date>.json snapshot so the scaling win stays pinned.
+// lock-free dispatch path, single-shot and batched, under parallel
+// load. cmd/bladebench captures them in BENCH_<date>.json snapshots and
+// CI gates them against the committed baseline, 0 allocs/op included.
 
 import (
 	"io"
@@ -18,25 +18,24 @@ import (
 
 // benchDispatchParallel drives serve.Server.Decide from GOMAXPROCS
 // goroutines. GOMAXPROCS is forced to 8 for the measurement so the
-// sharded-versus-serialized comparison exercises real cross-core (or
-// oversubscribed) contention regardless of the host's core count; the
-// server is constructed after the bump so its shard counts size to it.
+// sharded path exercises real cross-core (or oversubscribed)
+// contention regardless of the host's core count; the server is
+// constructed after the bump so its shard counts size to it.
 // The estimation window is far longer than any run, keeping the
 // estimator cold: no admission shedding, every iteration takes the
 // full observe → rate-merge → pick → record path.
-func benchDispatchParallel(b *testing.B, serialized bool, policy serve.Policy) {
+func benchDispatchParallel(b *testing.B, policy serve.Policy) {
 	b.Helper()
 	prev := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(prev)
 
 	g := model.LiExample1Group()
 	s, err := serve.New(serve.Config{
-		Group:             g,
-		Lambda:            0.5 * g.MaxGenericRate(),
-		Window:            time.Hour,
-		Logger:            slog.New(slog.NewTextHandler(io.Discard, nil)),
-		SerializedHotPath: serialized,
-		Policy:            policy,
+		Group:  g,
+		Lambda: 0.5 * g.MaxGenericRate(),
+		Window: time.Hour,
+		Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
+		Policy: policy,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -57,10 +56,7 @@ func benchDispatchParallel(b *testing.B, serialized bool, policy serve.Policy) {
 }
 
 func BenchmarkDispatchParallel(b *testing.B) {
-	benchDispatchParallel(b, false, serve.PolicyStatic)
-}
-func BenchmarkDispatchParallelMutex(b *testing.B) {
-	benchDispatchParallel(b, true, serve.PolicyStatic)
+	benchDispatchParallel(b, serve.PolicyStatic)
 }
 
 // BenchmarkDispatchParallelJSQ2 pins the sampled state-aware policy to
@@ -68,7 +64,7 @@ func BenchmarkDispatchParallelMutex(b *testing.B) {
 // per decision on top of the static path. CI gates it at 0 allocs/op
 // and within 1.25× of the static pick.
 func BenchmarkDispatchParallelJSQ2(b *testing.B) {
-	benchDispatchParallel(b, false, serve.PolicyJSQ)
+	benchDispatchParallel(b, serve.PolicyJSQ)
 }
 
 // benchDispatchBatch drives serve.Server.DecideBatch with k decisions

@@ -211,8 +211,11 @@ func loadSnapshot(path string) (*Snapshot, error) {
 // rather than by ratio. A benchmark present only in the new snapshot is
 // informational (a newly landed benchmark, not a regression), so
 // growing the suite never requires regenerating old baselines by hand.
-// budgets adds absolute per-op ceilings: each named benchmark must
-// appear in the new snapshot and come in under its duration.
+// A baseline benchmark missing from the new snapshot fails: a deleted
+// or renamed benchmark, or a -bench pattern that no longer matches it,
+// would otherwise drop out of the gate silently. budgets adds absolute
+// per-op ceilings: each named benchmark must appear in the new snapshot
+// and come in under its duration.
 func compareSnapshots(oldPath, newPath string, threshold float64, budgets map[string]time.Duration) error {
 	oldS, err := loadSnapshot(oldPath)
 	if err != nil {
@@ -252,6 +255,12 @@ func compareSnapshots(oldPath, newPath string, threshold float64, budgets map[st
 		}
 		fmt.Printf("%-44s %14.0f %14.0f %7.2fx%s\n", nb.Name, ob.NsPerOp, nb.NsPerOp, ratio, mark)
 	}
+	for _, ob := range oldS.Results {
+		if _, ok := newBy[ob.Name]; !ok {
+			fmt.Printf("%-44s %14.0f %14s %8s  << MISSING from new snapshot\n", ob.Name, ob.NsPerOp, "-", "-")
+			regressed = append(regressed, ob.Name+" (missing from new snapshot)")
+		}
+	}
 	// Budget names are sorted so the report (and any failure message) is
 	// deterministic regardless of map iteration order.
 	names := make([]string, 0, len(budgets))
@@ -275,7 +284,7 @@ func compareSnapshots(oldPath, newPath string, threshold float64, budgets map[st
 		fmt.Printf("%-44s %14.0f ns/op vs budget %v  %s\n", name, nb.NsPerOp, budget, mark)
 	}
 	if len(regressed) > 0 {
-		return fmt.Errorf("%d benchmark regression(s) (ns/op beyond %.2fx, new allocations, or budget violations): %s", len(regressed), threshold, strings.Join(regressed, ", "))
+		return fmt.Errorf("%d benchmark regression(s) (ns/op beyond %.2fx, new allocations, missing baselines, or budget violations): %s", len(regressed), threshold, strings.Join(regressed, ", "))
 	}
 	return nil
 }

@@ -101,19 +101,43 @@ func TestCompareSnapshotsNewBenchmarkInformational(t *testing.T) {
 	}
 }
 
+func TestCompareSnapshotsMissingBaselineFails(t *testing.T) {
+	dir := t.TempDir()
+	old := writeSnapshot(t, dir, "old.json",
+		`{"date":"2026-08-06","benchmarks":[`+
+			`{"name":"BenchmarkDispatchParallel","iterations":100,"ns_per_op":190},`+
+			`{"name":"BenchmarkOptimizeN512Sparse","iterations":3,"ns_per_op":5000000}]}`)
+	// The new run re-times only one of the two baseline benchmarks (a
+	// deleted benchmark, or a -bench pattern that skips it): the other
+	// must not drop out of the gate silently.
+	partial := writeSnapshot(t, dir, "partial.json",
+		`{"date":"2026-08-07","benchmarks":[{"name":"BenchmarkDispatchParallel","iterations":100,"ns_per_op":195}]}`)
+	err := compareSnapshots(old, partial, 1.25, nil)
+	if err == nil {
+		t.Fatal("a baseline benchmark missing from the new snapshot should fail the compare")
+	}
+	if !strings.Contains(err.Error(), "BenchmarkOptimizeN512Sparse") {
+		t.Errorf("error should name the missing benchmark, got %v", err)
+	}
+}
+
 func TestCompareSnapshotsBudgetGate(t *testing.T) {
 	dir := t.TempDir()
 	old := writeSnapshot(t, dir, "old.json",
 		`{"date":"2026-08-06","benchmarks":[{"name":"BenchmarkDispatchParallel","iterations":100,"ns_per_op":190}]}`)
 	within := writeSnapshot(t, dir, "within.json",
-		`{"date":"2026-08-07","benchmarks":[{"name":"BenchmarkOptimizeN10kFCFS","iterations":3,"ns_per_op":6000000}]}`)
+		`{"date":"2026-08-07","benchmarks":[`+
+			`{"name":"BenchmarkDispatchParallel","iterations":100,"ns_per_op":190},`+
+			`{"name":"BenchmarkOptimizeN10kFCFS","iterations":3,"ns_per_op":6000000}]}`)
 	budget := map[string]time.Duration{"BenchmarkOptimizeN10kFCFS": time.Second}
 	if err := compareSnapshots(old, within, 1.25, budget); err != nil {
 		t.Errorf("6 ms/op against a 1 s budget should pass, got %v", err)
 	}
 
 	over := writeSnapshot(t, dir, "over.json",
-		`{"date":"2026-08-07","benchmarks":[{"name":"BenchmarkOptimizeN10kFCFS","iterations":1,"ns_per_op":1500000000}]}`)
+		`{"date":"2026-08-07","benchmarks":[`+
+			`{"name":"BenchmarkDispatchParallel","iterations":100,"ns_per_op":190},`+
+			`{"name":"BenchmarkOptimizeN10kFCFS","iterations":1,"ns_per_op":1500000000}]}`)
 	err := compareSnapshots(old, over, 1.25, budget)
 	if err == nil {
 		t.Fatal("1.5 s/op against a 1 s budget should fail")

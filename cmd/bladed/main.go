@@ -82,8 +82,6 @@ func run(args []string, ready chan<- string) error {
 	seed := fs.Int64("seed", 0, "dispatch RNG seed (0 means 1)")
 	deterministic := fs.Bool("deterministic-rng", false,
 		"serialize dispatch draws through one seeded RNG so -seed reproduces the routing sequence")
-	serialized := fs.Bool("serialized", false,
-		"run the fully mutex-serialized request path (contention baseline; not for production)")
 	backendDelay := fs.Duration("backend-delay", 0,
 		"simulate executing each request with this per-call service time; enables the guarded dispatch wrapper")
 	faultAdmin := fs.Bool("fault-admin", false,
@@ -186,7 +184,6 @@ func run(args []string, ready chan<- string) error {
 		Logger:             logger,
 		Seed:               *seed,
 		DeterministicRNG:   *deterministic,
-		SerializedHotPath:  *serialized,
 		Policy:             dispatchPolicy,
 		SampleD:            jsqD,
 		BatchMax:           *batchMax,

@@ -98,6 +98,7 @@ func TestRunFlagValidation(t *testing.T) {
 		{"-spec", "/does/not/exist.json"},    // missing file
 		{"-builtin", "no-such-system:1"},     // unknown builtin
 		{"-example", "-addr", "256.0.0.1:x"}, // unusable listen address
+		{"-example", "-serialized"},          // retired flag: unknown
 	}
 	for _, args := range cases {
 		if err := run(args, nil); err == nil {

@@ -25,8 +25,9 @@ import (
 // hot pick in another is caught even though the caller only sees the
 // interface. Each finding is reported in the pass for the package that
 // defines the offending function, so //bladelint:allow directives keep
-// their local scope: the serialized baselines (estimator_locked.go,
-// lockedRand, lockedMetrics) stay annotated with their justifications.
+// their local scope: serve's lockedRand, the single seeded generator
+// behind Config.DeterministicRNG, stays annotated with its
+// justification where it is defined.
 var HotPathLock = &Analyzer{
 	Name:      "hotpathlock",
 	Directive: "lock",

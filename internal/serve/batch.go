@@ -56,14 +56,6 @@ func (s *Server) DecideBatch(dst []Decision) {
 	if len(dst) == 0 {
 		return
 	}
-	if s.fastEst == nil {
-		// SerializedHotPath: the mutex-serialized baseline has no
-		// amortizable structure — run it per decision.
-		for i := range dst {
-			dst[i] = s.decideSerialized()
-		}
-		return
-	}
 	for len(dst) > batchChunk {
 		s.decideChunk(dst[:batchChunk])
 		dst = dst[batchChunk:]
@@ -82,10 +74,10 @@ func (s *Server) decideChunk(dst []Decision) {
 	u0 := randv2.Uint64()
 	// The amortized estimator bump: one epoch check and one fixed-point
 	// add of k on a single shard, in place of k independent bumps.
-	s.fastEst.observeAtShard(start, float64(k), u0)
+	s.est.observeAtShard(start, float64(k), u0)
 	plan := s.plan.Load()
-	rate := s.fastEst.RateAt(start)
-	warm := s.fastEst.WarmAt(start)
+	rate := s.est.RateAt(start)
+	warm := s.est.WarmAt(start)
 	admit, reason := s.admission(plan, rate, warm)
 	s.driftCheck(plan, rate, warm)
 	if s.fastRnd == nil || admit < 1 || s.breakers.trial.Load() >= 0 {
@@ -142,7 +134,7 @@ func (s *Server) decideChunk(dst []Decision) {
 	// chosen station for the per-station counter and (router-mode JSQ)
 	// the depth counter — a chunk touching s stations costs O(s) atomic
 	// adds, not O(k).
-	s.fastM.countDispatchN(int64(k))
+	s.m.countDispatchN(int64(k))
 	var stA [batchChunk]int32
 	var ctA [batchChunk]int32
 	na := 0
@@ -163,61 +155,41 @@ func (s *Server) decideChunk(dst []Decision) {
 	}
 	router := s.depths != nil && s.backend == nil
 	for i := 0; i < na; i++ {
-		s.fastM.countStationN(int(stA[i]), int64(ctA[i]))
+		s.m.countStationN(int(stA[i]), int64(ctA[i]))
 		if router {
 			s.depths.incN(int(stA[i]), int64(ctA[i]))
 		}
 	}
 	if gates > 0 {
-		s.fastM.observeLatencyN(s.now().Sub(start).Seconds(), gates, randv2.Uint64())
+		s.m.observeLatencyN(s.now().Sub(start).Seconds(), gates, randv2.Uint64())
 	}
 }
 
-// decideChunkExact is the per-decision chunk flow: every slot draws and
-// consumes randomness exactly as Decide does (same draw order, same
-// sources), so DeterministicRNG sequence pinning, per-decision
-// admission coins and trial coins are all preserved. Only the chunk's
-// shared work differs from k plain Decide calls: the estimator bump
-// already happened in decideChunk, and the latency-gated decisions
+// decideChunkExact is the per-decision chunk flow: every slot draws its
+// own word and admission coin, then runs the same route as Decide, so
+// each decision consumes randomness exactly as Decide does (same draw
+// order, same sources) and DeterministicRNG sequence pinning,
+// per-decision admission coins and trial coins all hold. Only the
+// chunk's shared work differs from k plain Decide calls: the estimator
+// bump already happened in decideChunk, and the latency-gated decisions
 // share one end-of-chunk clock read.
 func (s *Server) decideChunkExact(dst []Decision, start time.Time, plan *Plan, rate, admit float64, reason rejectReason) {
 	gates := 0
 	for j := range dst {
 		u := randv2.Uint64()
 		if admit < 1 && s.rnd.Float64() >= admit {
-			s.fastM.reject(reason)
+			s.m.reject(reason)
 			dst[j] = Decision{Station: -1, Plan: plan, Rate: rate,
 				Rejected: true, Reason: rejectReasonNames[reason]}
 			continue
 		}
-		station, trial := s.trialPick(u)
-		if !trial {
-			if plan.jsq != nil {
-				station = plan.jsq.PickU(s.jsqBits(u))
-			} else {
-				var draw float64
-				if s.fastRnd != nil {
-					draw = s.fastRnd.float64U(u >> randPickShardShift)
-				} else {
-					draw = s.rnd.Float64() // DeterministicRNG keeps the pinned sequence
-				}
-				station = plan.PickU(draw)
-			}
-			if s.breakers.rejects(station) {
-				station = s.redirect(plan, station, u)
-			}
-		}
-		if s.depths != nil && s.backend == nil {
-			s.depths.inc(station)
-		}
-		s.fastM.countDispatch(station)
+		dst[j] = s.route(plan, rate, u)
 		if u>>randLatGateShift&(p2SampleStride-1) == 0 {
 			gates++
 		}
-		dst[j] = Decision{Station: station, Plan: plan, Rate: rate, Trial: trial}
 	}
 	if gates > 0 {
-		s.fastM.observeLatencyN(s.now().Sub(start).Seconds(), gates, randv2.Uint64())
+		s.m.observeLatencyN(s.now().Sub(start).Seconds(), gates, randv2.Uint64())
 	}
 }
 

@@ -15,30 +15,26 @@ import (
 
 // decideRounds drives one server through a fixed schedule of decision
 // rounds, either sequentially (one Decide per decision) or batched (one
-// DecideBatch per round), and returns the routed station sequence.
-// Outcome reports land at round boundaries in BOTH modes, so the JSQ
-// depth state evolves identically and any divergence is the batch
-// path's fault, not the schedule's.
+// DecideBatch per round), and returns the routed station sequence, with
+// -1 for a decision admission control rejected. Outcome reports land
+// at round boundaries in BOTH modes, so the JSQ depth state evolves
+// identically and any divergence is the batch path's fault, not the
+// schedule's.
 func decideRounds(t *testing.T, s *Server, rounds []int, batched bool) []int {
 	t.Helper()
 	var seq []int
 	for _, k := range rounds {
-		var round []Decision
+		round := make([]Decision, k)
 		if batched {
-			round = make([]Decision, k)
 			s.DecideBatch(round)
 		} else {
-			round = make([]Decision, k)
 			for i := range round {
 				round[i] = s.Decide()
 			}
 		}
 		for i, d := range round {
-			if d.Rejected {
-				t.Fatalf("unexpected rejection: %s", d.Reason)
-			}
 			seq = append(seq, d.Station)
-			if i%3 == 0 {
+			if i%3 == 0 && !d.Rejected {
 				s.ReportOutcome(d.Station, OutcomeSuccess, time.Millisecond)
 			}
 		}
@@ -51,30 +47,51 @@ func decideRounds(t *testing.T, s *Server, rounds []int, batched bool) []int {
 // IDENTICAL station sequence as the same number of sequential Decide
 // calls, draw for draw, across static, sparse-picker and JSQ(2)
 // configurations and across uneven chunk schedules (crossing the
-// internal batchChunk boundary).
+// internal batchChunk boundary). The trial and shed configurations
+// route every chunk through the per-decision exact path: a half-open
+// station draws a trial coin per decision, and a plan solved beyond
+// saturation draws an admission coin per decision.
 func TestDecideBatchDeterministicSequence(t *testing.T) {
 	rounds := []int{5, 1, 17, batchChunk, 2*batchChunk + 9, 3}
-	configs := map[string]func(*Config){
-		"static": nil,
-		"jsq2":   func(c *Config) { c.Policy = PolicyJSQ },
-		"serialized": func(c *Config) {
-			c.SerializedHotPath = true
-		},
+	// halfOpen parks the health scan so the posted trial station stays
+	// half-open for the whole schedule.
+	halfOpen := func(c *Config) {
+		c.Breaker.ScanInterval = time.Hour
+		c.Breaker.TrialFraction = 0.2
 	}
-	for name, mutate := range configs {
+	configs := map[string]struct {
+		mutate      func(*Config)
+		trial, shed bool
+	}{
+		"static":       {},
+		"jsq2":         {mutate: func(c *Config) { c.Policy = PolicyJSQ }},
+		"trial-static": {mutate: halfOpen, trial: true},
+		"trial-jsq2": {mutate: func(c *Config) {
+			halfOpen(c)
+			c.Policy = PolicyJSQ
+		}, trial: true},
+		"shed": {mutate: func(c *Config) { c.Lambda = 1.3 * c.Group.MaxGenericRate() }, shed: true},
+	}
+	for name, tc := range configs {
 		t.Run(name, func(t *testing.T) {
 			build := func() *Server {
-				return newTestServer(t, func(c *Config) {
+				s := newTestServer(t, func(c *Config) {
 					c.Seed = 42
 					c.DeterministicRNG = true
-					c.Window = time.Hour // cold estimator: no admission draws
-					if mutate != nil {
-						mutate(c)
+					c.Window = time.Hour // cold estimator: no rate-driven admission draws
+					if tc.mutate != nil {
+						tc.mutate(c)
 					}
 				})
+				if tc.trial {
+					s.breakers.stations[2].state.Store(breakerHalfOpen)
+					s.breakers.snapshotTrial()
+				}
+				return s
 			}
-			seqRun := decideRounds(t, build(), rounds, false)
-			batchRun := decideRounds(t, build(), rounds, true)
+			seqSrv, batchSrv := build(), build()
+			seqRun := decideRounds(t, seqSrv, rounds, false)
+			batchRun := decideRounds(t, batchSrv, rounds, true)
 			for i := range seqRun {
 				if seqRun[i] != batchRun[i] {
 					t.Fatalf("decision %d: sequential routed %d, batched routed %d",
@@ -82,12 +99,24 @@ func TestDecideBatchDeterministicSequence(t *testing.T) {
 				}
 			}
 			distinct := map[int]bool{}
+			rejected := 0
 			for _, st := range seqRun {
 				distinct[st] = true
+				if st < 0 {
+					rejected++
+				}
 			}
 			if len(distinct) < 2 {
 				t.Fatalf("degenerate sequence: only stations %v picked", distinct)
 			}
+			if (rejected > 0) != tc.shed {
+				t.Fatalf("%d of %d decisions rejected (shed config: %v)", rejected, len(seqRun), tc.shed)
+			}
+			seqTrials, batchTrials := seqSrv.breakers.trials.Load(), batchSrv.breakers.trials.Load()
+			if seqTrials != batchTrials || (seqTrials > 0) != tc.trial {
+				t.Fatalf("trial probes: sequential %d, batched %d (trial config: %v)", seqTrials, batchTrials, tc.trial)
+			}
+			t.Logf("%d decisions: %d trials, %d rejected", len(seqRun), seqTrials, rejected)
 		})
 	}
 }
@@ -273,10 +302,10 @@ func TestObserveNFractionalExactness(t *testing.T) {
 	}
 
 	s := newTestServer(t, func(c *Config) { c.Window = time.Hour })
-	before := s.fastEst.Observed()
+	before := s.est.Observed()
 	dst := make([]Decision, 10)
 	s.DecideBatch(dst)
-	if got := s.fastEst.Observed() - before; got != 10 {
+	if got := s.est.Observed() - before; got != 10 {
 		t.Errorf("DecideBatch(10) bumped Observed by %d, want 10", got)
 	}
 }
@@ -376,7 +405,7 @@ func TestCoalescerGroupsConcurrentDispatches(t *testing.T) {
 			t.Fatalf("request %d: station %d out of range", i, r.Station)
 		}
 	}
-	if got := s.fastM.dispatchTotal.Load(); got != requests {
+	if got := s.m.dispatchTotal.Load(); got != requests {
 		t.Errorf("dispatch counter %d after %d coalesced requests, want exact match", got, requests)
 	}
 	// Solitary request: no concurrent peer, so the low-QPS fallback must

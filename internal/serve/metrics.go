@@ -3,7 +3,6 @@ package serve
 import (
 	"fmt"
 	"io"
-	randv2 "math/rand/v2"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -28,44 +27,13 @@ const (
 // map-based implementation.
 var rejectReasonNames = [numRejectReasons]string{"admission", "concurrency", "shed"}
 
-// serverMetrics is the daemon's operational-statistics sink. Two
-// implementations exist: shardedMetrics (default, lock-free counters
-// with per-shard latency accumulators) and lockedMetrics (the original
-// single-mutex design, kept as the serialized baseline).
-type serverMetrics interface {
-	// observeDispatch records one served routing decision.
-	observeDispatch(station int, seconds float64)
-	// reject counts one rejected request by reason.
-	reject(r rejectReason)
-	// resolved records the outcome of one re-solve attempt.
-	resolved(err error)
-	// latencyQuantile95 returns the current p95 dispatch latency in
-	// seconds (0 while cold) — the hedge-delay source.
-	latencyQuantile95() float64
-	// writeTo renders the Prometheus text exposition (format 0.0.4).
-	writeTo(w io.Writer, plan *Plan, rate float64, warm bool)
-}
-
-// metricsSnapshot is a consistent copy of the counters taken at scrape
-// time; both implementations render through it so the exposition is
-// byte-identical across them.
-type metricsSnapshot struct {
-	dispatchTotal int64
-	byStation     []int64
-	rejected      [numRejectReasons]int64
-	resolveTotal  int64
-	resolveErrors int64
-	durationCount int64
-	durationSum   float64
-	q50, q95, q99 float64
-}
-
-// shardedMetrics is the lock-free default: monotonic counters are plain
-// atomics (dispatchTotal, per-station, the reason-indexed rejection
-// array) and the latency moments/quantiles are accumulated in
-// GOMAXPROCS shards — each shard a Welford plus three P² estimators
-// behind its own mutex, touched by roughly 1/GOMAXPROCS of requests —
-// merged only at /metrics scrape time (metrics.Welford.Merge and
+// shardedMetrics is the daemon's operational-statistics sink, lock-free
+// on the dispatch path: monotonic counters are plain atomics
+// (dispatchTotal, per-station, the reason-indexed rejection array) and
+// the latency moments/quantiles are accumulated in GOMAXPROCS shards —
+// each shard a Welford plus three P² estimators behind its own mutex,
+// touched by roughly 1/GOMAXPROCS of requests — merged only at
+// /metrics scrape time (metrics.Welford.Merge and
 // metrics.MergeP2Quantiles; see the latter for the merge error bound).
 type shardedMetrics struct {
 	dispatchTotal atomic.Int64
@@ -111,15 +79,6 @@ func newServerMetrics(stations int) *shardedMetrics {
 		m.shards[i].q99, _ = metrics.NewP2Quantile(0.99)
 	}
 	return m
-}
-
-// observeDispatch records one served decision with its latency — the
-// general entry point (tests, non-hot callers). The hot path instead
-// calls countDispatch every request and observeLatency on the sampled
-// subset.
-func (m *shardedMetrics) observeDispatch(station int, seconds float64) {
-	m.countDispatch(station)
-	m.observeLatency(seconds, randv2.Uint64())
 }
 
 // countDispatch bumps the exact dispatch counters: two uncontended
@@ -207,150 +166,35 @@ func (m *shardedMetrics) resolved(err error) {
 	}
 }
 
+// writeTo renders the Prometheus text exposition (format 0.0.4). The
+// plan and estimator gauges are passed in so the scrape reads them in
+// one place without reaching back into the server.
 func (m *shardedMetrics) writeTo(w io.Writer, plan *Plan, rate float64, warm bool) {
-	snap := metricsSnapshot{
-		dispatchTotal: m.dispatchTotal.Load(),
-		byStation:     make([]int64, len(m.byStation)),
-		resolveTotal:  m.resolveTotal.Load(),
-		resolveErrors: m.resolveErrors.Load(),
-	}
-	for i := range m.byStation {
-		snap.byStation[i] = m.byStation[i].Load()
-	}
-	for r := range m.rejected {
-		snap.rejected[r] = m.rejected[r].Load()
-	}
-	// Merge the latency shards. Each shard is locked only long enough
-	// to copy its accumulators out, so a scrape never stalls more than
-	// one shard's dispatch traffic at a time.
-	var merged metrics.Welford
-	var q50s, q95s, q99s []*metrics.P2Quantile
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		merged.Merge(&sh.latency)
-		q50s = append(q50s, sh.q50.Clone())
-		q95s = append(q95s, sh.q95.Clone())
-		q99s = append(q99s, sh.q99.Clone())
-		sh.mu.Unlock()
-	}
-	snap.q50 = metrics.MergeP2Quantiles(q50s...)
-	snap.q95 = metrics.MergeP2Quantiles(q95s...)
-	snap.q99 = metrics.MergeP2Quantiles(q99s...)
-	// The duration count is the exact dispatch counter; the sum scales
-	// the sampled mean up to it (exact when every dispatch was measured,
-	// an unbiased estimate under hot-path sampling; see p2SampleStride).
-	snap.durationCount = snap.dispatchTotal
-	snap.durationSum = merged.Mean() * float64(snap.dispatchTotal)
-	renderMetrics(w, snap, plan, rate, warm)
-}
-
-// lockedMetrics is the original single-mutex implementation, retained
-// as the serialized hot-path baseline (Config.SerializedHotPath and
-// BenchmarkDispatchParallelMutex).
-type lockedMetrics struct {
-	mu            sync.Mutex
-	dispatchTotal int64
-	byStation     []int64
-	rejected      [numRejectReasons]int64
-	resolveTotal  int64
-	resolveErrors int64
-	latency       metrics.Welford
-	q50, q95, q99 *metrics.P2Quantile
-}
-
-func newLockedServerMetrics(stations int) *lockedMetrics {
-	q50, _ := metrics.NewP2Quantile(0.5)
-	q95, _ := metrics.NewP2Quantile(0.95)
-	q99, _ := metrics.NewP2Quantile(0.99)
-	return &lockedMetrics{
-		byStation: make([]int64, stations),
-		q50:       q50, q95: q95, q99: q99,
-	}
-}
-
-//bladelint:allow lock -- serialized baseline: lockedMetrics is the mutexed reference the sharded metrics are benchmarked against
-func (m *lockedMetrics) observeDispatch(station int, seconds float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.dispatchTotal++
-	if station >= 0 && station < len(m.byStation) {
-		m.byStation[station]++
-	}
-	m.latency.Add(seconds)
-	m.q50.Add(seconds)
-	m.q95.Add(seconds)
-	m.q99.Add(seconds)
-}
-
-//bladelint:allow lock -- serialized baseline, same justification as observeDispatch
-func (m *lockedMetrics) reject(r rejectReason) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.rejected[r]++
-}
-
-func (m *lockedMetrics) latencyQuantile95() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.q95.Value()
-}
-
-func (m *lockedMetrics) resolved(err error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.resolveTotal++
-	if err != nil {
-		m.resolveErrors++
-	}
-}
-
-func (m *lockedMetrics) writeTo(w io.Writer, plan *Plan, rate float64, warm bool) {
-	m.mu.Lock()
-	snap := metricsSnapshot{
-		dispatchTotal: m.dispatchTotal,
-		byStation:     append([]int64(nil), m.byStation...),
-		rejected:      m.rejected,
-		resolveTotal:  m.resolveTotal,
-		resolveErrors: m.resolveErrors,
-		durationCount: m.latency.Count(),
-		durationSum:   m.latency.Mean() * float64(m.latency.Count()),
-		q50:           m.q50.Value(),
-		q95:           m.q95.Value(),
-		q99:           m.q99.Value(),
-	}
-	m.mu.Unlock()
-	renderMetrics(w, snap, plan, rate, warm)
-}
-
-// renderMetrics renders the Prometheus text exposition (format 0.0.4).
-// The plan and estimator gauges are passed in so the snapshot is taken
-// in one place without reaching back into the server.
-func renderMetrics(w io.Writer, snap metricsSnapshot, plan *Plan, rate float64, warm bool) {
+	dispatchTotal := m.dispatchTotal.Load()
 	fmt.Fprintln(w, "# HELP bladed_dispatch_total Routing decisions served.")
 	fmt.Fprintln(w, "# TYPE bladed_dispatch_total counter")
-	fmt.Fprintf(w, "bladed_dispatch_total %d\n", snap.dispatchTotal)
+	fmt.Fprintf(w, "bladed_dispatch_total %d\n", dispatchTotal)
 
 	fmt.Fprintln(w, "# HELP bladed_dispatch_station_total Routing decisions per station.")
 	fmt.Fprintln(w, "# TYPE bladed_dispatch_station_total counter")
-	for i, c := range snap.byStation {
-		fmt.Fprintf(w, "bladed_dispatch_station_total{station=%q} %d\n", fmt.Sprint(i), c)
+	for i := range m.byStation {
+		fmt.Fprintf(w, "bladed_dispatch_station_total{station=%q} %d\n", fmt.Sprint(i), m.byStation[i].Load())
 	}
 
 	fmt.Fprintln(w, "# HELP bladed_rejected_total Requests rejected with 503, by reason.")
 	fmt.Fprintln(w, "# TYPE bladed_rejected_total counter")
-	for r, c := range snap.rejected {
-		if c > 0 {
+	for r := range m.rejected {
+		if c := m.rejected[r].Load(); c > 0 {
 			fmt.Fprintf(w, "bladed_rejected_total{reason=%q} %d\n", rejectReasonNames[r], c)
 		}
 	}
 
 	fmt.Fprintln(w, "# HELP bladed_resolve_total Re-optimization attempts.")
 	fmt.Fprintln(w, "# TYPE bladed_resolve_total counter")
-	fmt.Fprintf(w, "bladed_resolve_total %d\n", snap.resolveTotal)
+	fmt.Fprintf(w, "bladed_resolve_total %d\n", m.resolveTotal.Load())
 	fmt.Fprintln(w, "# HELP bladed_resolve_errors_total Re-optimization attempts that failed.")
 	fmt.Fprintln(w, "# TYPE bladed_resolve_errors_total counter")
-	fmt.Fprintf(w, "bladed_resolve_errors_total %d\n", snap.resolveErrors)
+	fmt.Fprintf(w, "bladed_resolve_errors_total %d\n", m.resolveErrors.Load())
 
 	fmt.Fprintln(w, "# HELP bladed_plan_version Version of the live routing plan.")
 	fmt.Fprintln(w, "# TYPE bladed_plan_version gauge")
@@ -374,7 +218,7 @@ func renderMetrics(w io.Writer, snap metricsSnapshot, plan *Plan, rate float64, 
 
 	fmt.Fprintln(w, "# HELP bladed_station_up Station availability (1 up, 0 down).")
 	fmt.Fprintln(w, "# TYPE bladed_station_up gauge")
-	for i := range snap.byStation {
+	for i := range m.byStation {
 		up := plan.Up == nil || (i < len(plan.Up) && plan.Up[i])
 		fmt.Fprintf(w, "bladed_station_up{station=%q} %d\n", fmt.Sprint(i), boolGauge(up))
 	}
@@ -384,13 +228,30 @@ func renderMetrics(w io.Writer, snap metricsSnapshot, plan *Plan, rate float64, 
 		fmt.Fprintf(w, "bladed_plan_utilization{station=%q} %g\n", fmt.Sprint(i), u)
 	}
 
+	// Merge the latency shards. Each shard is locked only long enough
+	// to copy its accumulators out, so a scrape never stalls more than
+	// one shard's dispatch traffic at a time.
+	var merged metrics.Welford
+	var q50s, q95s, q99s []*metrics.P2Quantile
+	for i := range m.shards {
+		sh := &m.shards[i]
+		sh.mu.Lock()
+		merged.Merge(&sh.latency)
+		q50s = append(q50s, sh.q50.Clone())
+		q95s = append(q95s, sh.q95.Clone())
+		q99s = append(q99s, sh.q99.Clone())
+		sh.mu.Unlock()
+	}
 	fmt.Fprintln(w, "# HELP bladed_request_duration_seconds Dispatch handler latency.")
 	fmt.Fprintln(w, "# TYPE bladed_request_duration_seconds summary")
-	fmt.Fprintf(w, "bladed_request_duration_seconds{quantile=\"0.5\"} %g\n", snap.q50)
-	fmt.Fprintf(w, "bladed_request_duration_seconds{quantile=\"0.95\"} %g\n", snap.q95)
-	fmt.Fprintf(w, "bladed_request_duration_seconds{quantile=\"0.99\"} %g\n", snap.q99)
-	fmt.Fprintf(w, "bladed_request_duration_seconds_sum %g\n", snap.durationSum)
-	fmt.Fprintf(w, "bladed_request_duration_seconds_count %d\n", snap.durationCount)
+	fmt.Fprintf(w, "bladed_request_duration_seconds{quantile=\"0.5\"} %g\n", metrics.MergeP2Quantiles(q50s...))
+	fmt.Fprintf(w, "bladed_request_duration_seconds{quantile=\"0.95\"} %g\n", metrics.MergeP2Quantiles(q95s...))
+	fmt.Fprintf(w, "bladed_request_duration_seconds{quantile=\"0.99\"} %g\n", metrics.MergeP2Quantiles(q99s...))
+	// The duration count is the exact dispatch counter; the sum scales
+	// the sampled mean up to it (exact when every dispatch was measured,
+	// an unbiased estimate under hot-path sampling; see p2SampleStride).
+	fmt.Fprintf(w, "bladed_request_duration_seconds_sum %g\n", merged.Mean()*float64(dispatchTotal))
+	fmt.Fprintf(w, "bladed_request_duration_seconds_count %d\n", dispatchTotal)
 }
 
 func boolGauge(b bool) int {
@@ -401,9 +262,9 @@ func boolGauge(b bool) int {
 }
 
 // writeResilienceMetrics appends the failure-detector, breaker and
-// guard series to the exposition — kept outside serverMetrics because
+// guard series to the exposition — kept outside shardedMetrics because
 // this state lives on the Server (one source of truth for breaker
-// state) and is identical for both hot-path implementations.
+// state).
 func (s *Server) writeResilienceMetrics(w io.Writer) {
 	nowNs := s.now().UnixNano()
 	fmt.Fprintln(w, "# HELP bladed_breaker_state Circuit state per station (0 closed, 1 half-open, 2 open).")

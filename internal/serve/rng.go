@@ -29,14 +29,14 @@ func newLockedRand(seed int64) *lockedRand {
 	return &lockedRand{rng: rand.New(rand.NewSource(seed))}
 }
 
-//bladelint:allow lock -- serialized baseline: DeterministicRNG opts into the single-RNG mutex to pin exact draw sequences
+//bladelint:allow lock -- sequence reference: DeterministicRNG opts into the single-RNG mutex to pin exact draw sequences
 func (l *lockedRand) Float64() float64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.rng.Float64()
 }
 
-//bladelint:allow lock -- serialized baseline: DeterministicRNG opts into the single-RNG mutex to pin exact draw sequences
+//bladelint:allow lock -- sequence reference: DeterministicRNG opts into the single-RNG mutex to pin exact draw sequences
 func (l *lockedRand) Uint64() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -82,8 +82,9 @@ func newShardedRNG(seed int64) *shardedRNG {
 func (r *shardedRNG) Float64() float64 { return r.float64U(randv2.Uint64()) }
 
 // Uint64 draws a full random word by advancing a randomly picked
-// shard's SplitMix64 state — the JSQ(d) sample source when the caller
-// has no spare per-request bits to hand over (d > 2, serialized path).
+// shard's SplitMix64 state. It completes dispatchRand; the hot path
+// takes its JSQ(d) sample words from the per-request word or the
+// per-thread generator instead (jsqBits).
 func (r *shardedRNG) Uint64() uint64 { return r.uint64U(randv2.Uint64()) }
 
 // float64U is Float64 with the shard-pick word supplied by the caller —

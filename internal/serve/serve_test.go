@@ -171,6 +171,13 @@ func TestHealthEndpointsTriggerReoptimization(t *testing.T) {
 	if w := postJSON(t, h, "/v1/health", map[string]any{"station": 99, "up": false}); w.Code != http.StatusBadRequest {
 		t.Fatalf("out-of-range station status %d, want 400", w.Code)
 	}
+	// A body missing either field is malformed: it must not read as the
+	// zero value and pin station 0 (or the named station) down.
+	for _, body := range []any{nil, map[string]any{}, map[string]any{"station": 1}, map[string]any{"up": false}} {
+		if w := postJSON(t, h, "/v1/health", body); w.Code != http.StatusBadRequest {
+			t.Fatalf("health body %v: status %d, want 400", body, w.Code)
+		}
+	}
 
 	// Mark station 0 down: a background re-solve must drain it.
 	if w := postJSON(t, h, "/v1/health", map[string]any{"station": 0, "up": false}); w.Code != http.StatusAccepted {

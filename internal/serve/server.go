@@ -80,11 +80,6 @@ type Config struct {
 	// lock-free per-shard SplitMix64 states, which are seeded but not
 	// sequence-reproducible under concurrency.
 	DeterministicRNG bool
-	// SerializedHotPath restores the fully mutex-serialized request
-	// path — locked estimator, locked metrics, deterministic RNG. It is
-	// the contention baseline BenchmarkDispatchParallelMutex measures;
-	// production use should leave it off.
-	SerializedHotPath bool
 	// Policy selects the dispatch policy: the paper-optimal static
 	// probabilistic split (default) or power-of-d sampled least-depth
 	// routing (PolicyJSQ).
@@ -188,16 +183,13 @@ type Server struct {
 	group *model.Group
 	log   *slog.Logger
 	now   func() time.Time
-	est   estimator
-	m     serverMetrics
+	est   *RateEstimator
+	m     *shardedMetrics
 	rnd   dispatchRand
-	// fastEst/fastM are the concrete lock-free implementations behind
-	// est/m on the default path (nil when SerializedHotPath), letting
-	// the dispatch hot path call their shard-hinted entry points
-	// without interface indirection.
-	fastEst *RateEstimator
-	fastM   *shardedMetrics
-	fastRnd *shardedRNG // nil under DeterministicRNG/SerializedHotPath
+	// fastRnd is the sharded generator behind rnd, which the hot path
+	// feeds its per-request word's shard slice (nil under
+	// DeterministicRNG, whose draws all go through rnd in sequence).
+	fastRnd *shardedRNG
 
 	// depths/jsqD are the PolicyJSQ state: per-station in-flight depth
 	// counters the power-of-d score reads, and the sample count d.
@@ -279,6 +271,8 @@ func New(cfg Config) (*Server, error) {
 		log:       cfg.Logger,
 		now:       cfg.Now,
 		backend:   cfg.Backend,
+		est:       NewRateEstimator(cfg.Window, cfg.Buckets, cfg.Now),
+		m:         newServerMetrics(cfg.Group.N()),
 		up:        make([]bool, cfg.Group.N()),
 		scanVol:   make([]int64, cfg.Group.N()),
 		resolveCh: make(chan resolveReq, 1),
@@ -295,21 +289,11 @@ func New(cfg Config) (*Server, error) {
 	if cfg.BatchMax > 1 {
 		s.coal = &coalescer{s: s, max: cfg.BatchMax, linger: cfg.BatchLinger}
 	}
-	if cfg.SerializedHotPath {
-		s.est = NewLockedRateEstimator(cfg.Window, cfg.Buckets, cfg.Now)
-		s.m = newLockedServerMetrics(cfg.Group.N())
+	if cfg.DeterministicRNG {
 		s.rnd = newLockedRand(cfg.Seed)
 	} else {
-		s.fastEst = NewRateEstimator(cfg.Window, cfg.Buckets, cfg.Now)
-		s.fastM = newServerMetrics(cfg.Group.N())
-		s.est = s.fastEst
-		s.m = s.fastM
-		if cfg.DeterministicRNG {
-			s.rnd = newLockedRand(cfg.Seed)
-		} else {
-			s.fastRnd = newShardedRNG(cfg.Seed)
-			s.rnd = s.fastRnd
-		}
+		s.fastRnd = newShardedRNG(cfg.Seed)
+		s.rnd = s.fastRnd
 	}
 	for i := range s.up {
 		s.up[i] = true
@@ -455,42 +439,53 @@ type Decision struct {
 // admission-check against the live plan, pick a station — and records
 // the decision in the operational metrics. It is the core of
 // POST /v1/dispatch, exported so load harnesses and benchmarks can
-// drive it without HTTP framing. The default path is lock-free;
-// Config.SerializedHotPath selects the original mutex-serialized flow.
+// drive it without HTTP framing. The path is lock-free.
 func (s *Server) Decide() Decision {
-	if s.fastEst == nil {
-		return s.decideSerialized()
-	}
 	start := s.now()
 	// One random word per request feeds every randomized step through
-	// disjoint bit slices (layout in randbits.go); the static station
-	// pick draws from s.rnd so DeterministicRNG keeps its sequence.
+	// disjoint bit slices (layout in randbits.go); the admission coin,
+	// and under DeterministicRNG every other draw too, comes from s.rnd
+	// so a fixed seed keeps its sequence.
 	u := randv2.Uint64()
-	s.fastEst.observeAtShard(start, 1, u)
+	s.est.observeAtShard(start, 1, u)
 	plan := s.plan.Load()
-	rate := s.fastEst.RateAt(start)
-	warm := s.fastEst.WarmAt(start)
+	rate := s.est.RateAt(start)
+	warm := s.est.WarmAt(start)
 
 	admit, reason := s.admission(plan, rate, warm)
 	if admit < 1 && s.rnd.Float64() >= admit {
-		s.fastM.reject(reason)
+		s.m.reject(reason)
 		return Decision{Station: -1, Plan: plan, Rate: rate,
 			Rejected: true, Reason: rejectReasonNames[reason]}
 	}
 	s.driftCheck(plan, rate, warm)
 
+	d := s.route(plan, rate, u)
+	// Latency is measured on a random 1-in-p2SampleStride subset: the
+	// second clock read is the costliest step left on this path, so the
+	// sample gates the read itself, not just the accumulator update.
+	// The metrics shard pick takes a fresh word — this branch already
+	// pays a clock read, and u's former shard bits now feed the JSQ
+	// samples (randbits.go).
+	if u>>randLatGateShift&(p2SampleStride-1) == 0 {
+		s.m.observeLatency(s.now().Sub(start).Seconds(), randv2.Uint64())
+	}
+	return d
+}
+
+// route is the per-decision core that Decide and DecideBatch's exact
+// path share once a request is admitted: trial coin, policy pick,
+// breaker redirect, then the depth and dispatch counters. u is the
+// decision's random word (randbits.go). The admission coin and the
+// latency gate stay with the callers: Decide checks admission and reads
+// the clock per decision, the exact path once per chunk.
+func (s *Server) route(plan *Plan, rate float64, u uint64) Decision {
 	station, trial := s.trialPick(u)
 	if !trial {
 		if plan.jsq != nil {
 			station = plan.jsq.PickU(s.jsqBits(u))
 		} else {
-			var draw float64
-			if s.fastRnd != nil {
-				draw = s.fastRnd.float64U(u >> randPickShardShift)
-			} else {
-				draw = s.rnd.Float64() // DeterministicRNG keeps the pinned sequence
-			}
-			station = plan.PickU(draw)
+			station = plan.PickU(s.pickDraw(u))
 		}
 		if s.breakers.rejects(station) {
 			station = s.redirect(plan, station, u)
@@ -502,17 +497,18 @@ func (s *Server) Decide() Decision {
 		// Backend the guard brackets each real attempt instead.
 		s.depths.inc(station)
 	}
-	s.fastM.countDispatch(station)
-	// Latency is measured on a random 1-in-p2SampleStride subset: the
-	// second clock read is the costliest step left on this path, so the
-	// sample gates the read itself, not just the accumulator update.
-	// The metrics shard pick takes a fresh word — this branch already
-	// pays a clock read, and u's former shard bits now feed the JSQ
-	// samples (randbits.go).
-	if u>>randLatGateShift&(p2SampleStride-1) == 0 {
-		s.fastM.observeLatency(s.now().Sub(start).Seconds(), randv2.Uint64())
-	}
+	s.m.countDispatch(station)
 	return Decision{Station: station, Plan: plan, Rate: rate, Trial: trial}
+}
+
+// pickDraw supplies the static split's uniform variate: from the
+// sharded RNG shard u's slice selects, or under DeterministicRNG from
+// the seeded serialized generator, which keeps the pinned sequence.
+func (s *Server) pickDraw(u uint64) float64 {
+	if s.fastRnd == nil {
+		return s.rnd.Float64()
+	}
+	return s.fastRnd.float64U(u >> randPickShardShift)
 }
 
 // trialPick diverts a TrialFraction share of dispatches to the
@@ -548,17 +544,11 @@ func (s *Server) trialPick(u uint64) (int, bool) {
 // trip and the shedding re-solve landing. One redraw moves most of
 // the misrouted mass; if the redraw is also rejected the original
 // pick stands (the plan swap is at most a scan interval away).
+// Reusing u's shard-pick slice is sound: the slice only selects which
+// SplitMix64 shard advances; the redraw's variate comes from the
+// shard's state walk, independent of the first draw.
 func (s *Server) redirect(plan *Plan, station int, u uint64) int {
-	var draw float64
-	if s.fastRnd != nil {
-		// Reusing the shard-pick slice is sound: the slice only selects
-		// which SplitMix64 shard advances; the redraw's variate comes
-		// from the shard's state walk, independent of the first draw.
-		draw = s.fastRnd.float64U(u >> randPickShardShift)
-	} else {
-		draw = s.rnd.Float64()
-	}
-	if alt := plan.PickU(draw); !s.breakers.rejects(alt) {
+	if alt := plan.PickU(s.pickDraw(u)); !s.breakers.rejects(alt) {
 		s.breakers.redirects.Add(1)
 		return alt
 	}
@@ -579,44 +569,6 @@ func (s *Server) jsqBits(u uint64) uint64 {
 		return u >> randSampleShift
 	}
 	return randv2.Uint64()
-}
-
-// decideSerialized is the dispatch flow exactly as the pre-sharding
-// server ran it — per-touch clock reads inside the locked estimator,
-// two warmth checks, every counter behind one mutex — kept as the
-// measurable contention baseline for the lock-free path.
-func (s *Server) decideSerialized() Decision {
-	start := s.now()
-	s.est.Observe(1)
-	plan := s.plan.Load()
-	rate := s.est.Rate()
-
-	admit, reason := s.admission(plan, rate, s.est.Warm())
-	if admit < 1 && s.rnd.Float64() >= admit {
-		s.m.reject(reason)
-		return Decision{Station: -1, Plan: plan, Rate: rate,
-			Rejected: true, Reason: rejectReasonNames[reason]}
-	}
-	s.driftCheck(plan, rate, s.est.Warm())
-
-	// With fastRnd nil, trialPick, jsqBits and redirect draw from
-	// s.rnd, so the serialized path shares the deterministic sequence.
-	station, trial := s.trialPick(0)
-	if !trial {
-		if plan.jsq != nil {
-			station = plan.jsq.PickU(s.jsqBits(0))
-		} else {
-			station = plan.PickU(s.rnd.Float64())
-		}
-		if s.breakers.rejects(station) {
-			station = s.redirect(plan, station, 0)
-		}
-	}
-	if s.depths != nil && s.backend == nil {
-		s.depths.inc(station)
-	}
-	s.m.observeDispatch(station, s.now().Sub(start).Seconds())
-	return Decision{Station: station, Plan: plan, Rate: rate, Trial: trial}
 }
 
 // admission returns the admissible fraction of the stream and the
@@ -846,35 +798,42 @@ func (s *Server) handleGetHealth(w http.ResponseWriter, _ *http.Request) {
 // breaker to closed at full weight — no recovery ramp, the operator
 // has vouched for the station. See the Handler doc block.
 func (s *Server) handlePostHealth(w http.ResponseWriter, r *http.Request) {
+	// Pointer fields tell a missing field from its zero value: a body
+	// without "station" or "up" must not pin station 0 down.
 	var req struct {
-		Station int  `json:"station"`
-		Up      bool `json:"up"`
+		Station *int  `json:"station"`
+		Up      *bool `json:"up"`
 	}
 	if err := decodeJSON(r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request: %v", err)
 		return
 	}
-	if req.Station < 0 || req.Station >= s.group.N() {
-		writeError(w, http.StatusBadRequest, "station %d out of range [0, %d)", req.Station, s.group.N())
+	if req.Station == nil || req.Up == nil {
+		writeError(w, http.StatusBadRequest, `bad request: body must set both "station" and "up"`)
+		return
+	}
+	station, up := *req.Station, *req.Up
+	if station < 0 || station >= s.group.N() {
+		writeError(w, http.StatusBadRequest, "station %d out of range [0, %d)", station, s.group.N())
 		return
 	}
 	s.mu.Lock()
-	changed := s.up[req.Station] != req.Up
-	s.up[req.Station] = req.Up
+	changed := s.up[station] != up
+	s.up[station] = up
 	s.mu.Unlock()
-	b := &s.breakers.stations[req.Station]
+	b := &s.breakers.stations[station]
 	breakerReset := false
-	if req.Up {
+	if up {
 		b.pinned.Store(false)
 		if b.state.Load() != breakerClosed {
 			breakerReset = true
 		}
 		s.breakers.resetTo(b)
 		b.rampStart.Store(0)
-		s.tracker.resetError(req.Station)
+		s.tracker.resetError(station)
 		s.scanMu.Lock()
-		suc, errs, tmo := s.tracker.totals(req.Station)
-		s.scanVol[req.Station] = suc + errs + tmo
+		suc, errs, tmo := s.tracker.totals(station)
+		s.scanVol[station] = suc + errs + tmo
 		s.scanMu.Unlock()
 	} else {
 		b.pinned.Store(true)
@@ -882,7 +841,7 @@ func (s *Server) handlePostHealth(w http.ResponseWriter, r *http.Request) {
 	s.breakers.snapshotTrial()
 	if changed || breakerReset {
 		s.log.Info("station health changed by operator",
-			"station", req.Station, "up", req.Up, "breaker_reset", breakerReset)
+			"station", station, "up", up, "breaker_reset", breakerReset)
 		s.maybeResolve(0, "health", true)
 	}
 	writeJSON(w, http.StatusAccepted, s.healthState())

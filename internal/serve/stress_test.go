@@ -4,12 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	randv2 "math/rand/v2"
 	"strings"
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/model"
 )
 
 // TestRateEstimatorConcurrentStress hammers the sharded estimator with
@@ -90,7 +89,8 @@ func TestShardedMetricsConcurrentStress(t *testing.T) {
 		go func(w int) {
 			defer writerWg.Done()
 			for i := 0; i < perWriter; i++ {
-				m.observeDispatch((w+i)%stations, float64(i%100)/1e4)
+				m.countDispatch((w + i) % stations)
+				m.observeLatency(float64(i%100)/1e4, randv2.Uint64())
 				if i%16 == 0 {
 					m.reject(rejectAdmission)
 				}
@@ -153,8 +153,7 @@ func TestDispatchDecideConcurrentStress(t *testing.T) {
 	if got := s.est.Observed(); got != workers*perWorker {
 		t.Fatalf("estimator observed %d, want %d", got, workers*perWorker)
 	}
-	sm := s.m.(*shardedMetrics)
-	if got := sm.dispatchTotal.Load(); got != workers*perWorker {
+	if got := s.m.dispatchTotal.Load(); got != workers*perWorker {
 		t.Fatalf("dispatch total %d, want %d", got, workers*perWorker)
 	}
 }
@@ -164,60 +163,27 @@ func TestDispatchDecideConcurrentStress(t *testing.T) {
 // sequence is exactly what the original single-RNG server produced —
 // plan.Pick drawing from one math/rand generator.
 func TestDeterministicRNGReproducesDispatchSequence(t *testing.T) {
-	for _, serialized := range []bool{false, true} {
-		name := "deterministic-rng"
-		if serialized {
-			name = "serialized-hot-path"
-		}
-		t.Run(name, func(t *testing.T) {
-			const seed, draws = 42, 500
-			s := newTestServer(t, func(c *Config) {
-				c.Seed = seed
-				c.DeterministicRNG = true
-				c.SerializedHotPath = serialized
-			})
-			// The reference sequence: the pre-sharding hot path consumed
-			// exactly one rng.Float64 per admitted dispatch, inside
-			// plan.Pick. With a cold estimator and no planned shedding no
-			// admission draw is consumed, so the streams align.
-			ref := rand.New(rand.NewSource(seed))
-			plan := s.Plan()
-			for i := 0; i < draws; i++ {
-				want := plan.Pick(ref)
-				d := s.Decide()
-				if d.Rejected {
-					t.Fatalf("draw %d: unexpected rejection %s", i, d.Reason)
-				}
-				if d.Station != want {
-					t.Fatalf("draw %d: station %d, want %d (sequence diverged)", i, d.Station, want)
-				}
-			}
+	t.Run("deterministic-rng", func(t *testing.T) {
+		const seed, draws = 42, 500
+		s := newTestServer(t, func(c *Config) {
+			c.Seed = seed
+			c.DeterministicRNG = true
 		})
-	}
-}
-
-// TestSerializedHotPathServesDispatch sanity-checks the locked baseline
-// end to end: same group, same API behaviour, locked internals.
-func TestSerializedHotPathServesDispatch(t *testing.T) {
-	g := model.LiExample1Group()
-	s := newTestServer(t, func(c *Config) {
-		c.SerializedHotPath = true
-	})
-	if _, ok := s.est.(*LockedRateEstimator); !ok {
-		t.Fatalf("serialized server estimator is %T", s.est)
-	}
-	if _, ok := s.m.(*lockedMetrics); !ok {
-		t.Fatalf("serialized server metrics is %T", s.m)
-	}
-	for i := 0; i < 100; i++ {
-		d := s.Decide()
-		if d.Rejected || d.Station < 0 || d.Station >= g.N() {
-			t.Fatalf("decision %d: %+v", i, d)
+		// The reference sequence: the pre-sharding hot path consumed
+		// exactly one rng.Float64 per admitted dispatch, inside
+		// plan.Pick. With a cold estimator and no planned shedding no
+		// admission draw is consumed, so the streams align.
+		ref := rand.New(rand.NewSource(seed))
+		plan := s.Plan()
+		for i := 0; i < draws; i++ {
+			want := plan.Pick(ref)
+			d := s.Decide()
+			if d.Rejected {
+				t.Fatalf("draw %d: unexpected rejection %s", i, d.Reason)
+			}
+			if d.Station != want {
+				t.Fatalf("draw %d: station %d, want %d (sequence diverged)", i, d.Station, want)
+			}
 		}
-	}
-	var buf bytes.Buffer
-	s.m.writeTo(&buf, s.Plan(), 1.0, false)
-	if !strings.Contains(buf.String(), "bladed_dispatch_total 100") {
-		t.Fatalf("locked metrics scrape missing dispatch total:\n%s", buf.String())
-	}
+	})
 }
