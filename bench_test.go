@@ -111,6 +111,36 @@ func BenchmarkOptimizeN7Priority(b *testing.B) { benchOptimize(b, 7, queueing.Pr
 func BenchmarkOptimizeN64FCFS(b *testing.B)    { benchOptimize(b, 64, queueing.FCFS) }
 func BenchmarkOptimizeN512FCFS(b *testing.B)   { benchOptimize(b, 512, queueing.FCFS) }
 
+// BenchmarkOptimizeWarmDriftN7 is the serving daemon's drift re-solve
+// on the paper's Example 1: λ′ steps by ×1.2 from 0.15 of saturation up
+// to 0.86 and back down by ×0.8, and each op re-solves the next step
+// through core.OptimizeDegraded warm-started from the previous plan's
+// φ, as bladed's resolver does. The other Optimize benchmarks are cold.
+func BenchmarkOptimizeWarmDriftN7(b *testing.B) {
+	g := model.LiExample1Group()
+	sat := g.MaxGenericRate()
+	var fracs []float64
+	for f := 0.15; f <= 0.86; f *= 1.2 {
+		fracs = append(fracs, f)
+	}
+	for f := fracs[len(fracs)-1] * 0.8; f >= 0.15; f *= 0.8 {
+		fracs = append(fracs, f)
+	}
+	opts := core.Options{Discipline: queueing.FCFS}
+	res, err := core.OptimizeDegraded(g, fracs[len(fracs)-1]*sat, nil, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		opts.WarmPhi = res.Phi
+		if res, err = core.OptimizeDegraded(g, fracs[i%len(fracs)]*sat, nil, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // --- Fleet-scale solves: the sparse path (class clustering +
 // marginal-cost pruning, DESIGN §14) on synthetic heterogeneous fleets.
 // The N10k series is the ROADMAP's "well under a second" target and is

@@ -3,12 +3,14 @@
 // preloaded with special tasks, minimizing the average response time of
 // generic tasks (Li, J. Grid Computing 2013, §3–§4).
 //
-// The entry point is Optimize, which implements the algorithm of the
-// paper's Fig. 3 ("Calculate T′"): an outer bisection on the Lagrange
-// multiplier φ wrapped around the per-server inner bisection of Fig. 2
-// ("Find_λ′_i"), exposed here as FindRate. Both disciplines (shared
-// FCFS and special tasks with non-preemptive priority) are supported
-// through queueing.Discipline.
+// The entry point is Optimize, which solves the problem the paper's
+// Fig. 3 ("Calculate T′") solves: an outer search for the Lagrange
+// multiplier φ wrapped around a per-server inner search, Fig. 2
+// ("Find_λ′_i", exposed here as FindRate). By default both searches
+// are safeguarded Newton iterations; Options.PureBisection runs the
+// paper's literal bisections. Both disciplines (shared FCFS and special
+// tasks with non-preemptive priority) are supported through
+// queueing.Discipline.
 //
 // For the single-blade case m_1 = … = m_n = 1 the paper gives closed
 // forms (Theorems 1 and 3), implemented in closedform.go; they serve as
@@ -19,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sort"
 	"sync"
 
 	"repro/internal/model"
@@ -31,9 +34,11 @@ type Options struct {
 	// Discipline selects FCFS (special tasks without priority, §3) or
 	// Priority (special tasks with higher priority, §4).
 	Discipline queueing.Discipline
-	// Epsilon is the bisection tolerance ε of the paper's algorithms,
-	// applied to both the inner search over λ′_i and the outer search
-	// over φ. Non-positive means DefaultEpsilon.
+	// Epsilon is the tolerance ε of the paper's algorithms, applied to
+	// both the inner search over λ′_i (interval ε·λ′_max,i) and the
+	// outer search over φ (relative bracket width ε, or for the Newton
+	// search a residual |F − λ′| ≤ ε·Σλ′_max,i). Non-positive means
+	// DefaultEpsilon.
 	Epsilon float64
 	// NoRescale disables the final conservation projection that scales
 	// the rates so they sum to exactly λ′ (the paper's algorithm leaves
@@ -53,18 +58,21 @@ type Options struct {
 	// the sequential path; worthwhile from a few hundred servers up
 	// (see BenchmarkOptimizeN512Parallel).
 	Parallel bool
-	// WarmPhi, when positive, warm-starts the outer bracketing of the
+	// WarmPhi, when positive, warm-starts the outer search for the
 	// Lagrange multiplier from a previous solve's Phi — the failover
-	// fast path: after a failure or recovery the optimal φ moves by a
-	// bounded factor, so doubling from WarmPhi/16 brackets it in a
-	// handful of F(φ) evaluations instead of growing from 1e-12. Zero
-	// reproduces the paper's cold start exactly.
+	// and drift fast path: after a failure, a recovery or a rate change
+	// the optimal φ moves by a bounded factor, so the Newton search
+	// starts at WarmPhi itself. Zero starts cold at min_i MC_i(0), below
+	// which F(φ) = 0. Under PureBisection the doubling starts from
+	// WarmPhi/16, and zero reproduces the paper's cold start from 1e-12.
 	WarmPhi float64
-	// PureBisection disables the Newton-accelerated inner solver and
-	// runs the paper's literal Fig. 2 bisection (FindRateLimited) for
-	// every inner solve. Slower by several ×; it is the oracle path the
-	// Newton solver is verified against (TestNewtonMatchesBisection) and
-	// the faithful transcription for paper-fidelity ablations.
+	// PureBisection runs the paper's literal algorithms: Fig. 3's
+	// doubling and bisection for φ, and Fig. 2's bisection
+	// (FindRateLimited) for every inner solve, in place of the
+	// safeguarded Newton iterations. Slower by an order of magnitude;
+	// it is the oracle the default path is verified against
+	// (TestNewtonMatchesBisection, FuzzOptimizeNewton) and the faithful
+	// transcription for paper-fidelity ablations.
 	PureBisection bool
 	// Sparse enables the fleet-scale solve path: stations with an
 	// identical (size, speed, special-rate) signature are clustered
@@ -119,18 +127,29 @@ type Result struct {
 	// classes the sparse path clustered the fleet into; 0 on the dense
 	// path.
 	Classes int
+
+	cost solveCost
 }
+
+// solveCost is the work one solve took: F(φ) evaluations of the outer
+// search, and kernel calls of the Newton inner solvers (the paper's
+// bisection, under PureBisection, is not counted).
+type solveCost struct{ evals, kernelCalls int }
 
 // Optimize solves the paper's optimal load distribution problem: given
 // the group g and the total generic arrival rate lambda, it returns the
 // rates λ′_i minimizing the average generic response time T′ subject to
 // Σλ′_i = λ′ and ρ_i < 1.
 //
-// It is a faithful implementation of the algorithm in Fig. 3 of the
-// paper: the Lagrange multiplier φ is first grown by doubling until the
-// induced total rate F(φ) reaches λ′ (lines 1–10), then located by
-// bisection (lines 11–27), after which the per-server rates and T′ are
-// evaluated (lines 28–37).
+// It follows the structure of the algorithm in Fig. 3 of the paper:
+// find the Lagrange multiplier φ at which the induced total rate F(φ)
+// reaches λ′, then evaluate the per-server rates and T′ (lines 28–37).
+// The paper grows φ by doubling (lines 1–10) and bisects (lines
+// 11–27), some 80 F(φ) evaluations of a full inner bisection each. By
+// default φ is found by a safeguarded Newton iteration on F, whose slope
+// the Newton inner solves provide, in a handful of evaluations; the
+// result agrees with the literal algorithm (Options.PureBisection) to
+// ≤ 1e-9.
 func Optimize(g *model.Group, lambda float64, opts Options) (*Result, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -169,8 +188,9 @@ func Optimize(g *model.Group, lambda float64, opts Options) (*Result, error) {
 		return optimizeSparse(g, lambda, opts, eps, rhoCap)
 	}
 
-	// The per-station solvers cache kernels, service-time constants and
-	// saturation bounds once for the whole φ search; each holds its
+	// The per-station solvers cache kernels, service-time constants,
+	// saturation bounds and the marginal cost at both ends of the
+	// feasible range once for the whole φ search; each holds its
 	// previous rate as a Newton warm start for the next φ. The paper's
 	// pure bisection stays available behind opts.PureBisection.
 	solvers := make([]stationSolver, g.N())
@@ -183,115 +203,92 @@ func Optimize(g *model.Group, lambda float64, opts Options) (*Result, error) {
 		}
 		return solvers[i].findRate(phi)
 	}
-
-	// The scratch rate vector is reused across every φ probe; the outer
-	// driver copies it only when it caches a bracket endpoint.
-	scratch := make([]float64, g.N())
-	ratesAt := func(phi float64) float64 {
-		workers := runtime.GOMAXPROCS(0)
-		if opts.Parallel && g.N() > 1 && workers > 1 {
-			// Per-server solves are independent; fan out over
-			// contiguous chunks, then sum sequentially so the result
-			// is bit-identical to the sequential path. (Each solver's
-			// warm-start state is owned by exactly one chunk, and its
-			// evolution depends only on the per-server φ sequence, so
-			// parallel and sequential runs stay bit-identical too.)
-			if workers > g.N() {
-				workers = g.N()
-			}
-			var wg sync.WaitGroup
-			chunk := (g.N() + workers - 1) / workers
-			for lo := 0; lo < g.N(); lo += chunk {
-				hi := lo + chunk
-				if hi > g.N() {
-					hi = g.N()
-				}
-				wg.Add(1)
-				go func(lo, hi int) {
-					defer wg.Done()
-					for i := lo; i < hi; i++ {
-						scratch[i] = solveOne(i, phi)
-					}
-				}(lo, hi)
-			}
-			wg.Wait()
-		} else {
-			for i := range g.Servers {
-				scratch[i] = solveOne(i, phi)
-			}
-		}
-		var sum numeric.KahanSum
-		for _, r := range scratch {
-			sum.Add(r)
-		}
-		return sum.Value()
-	}
-
-	// Run the outer Fig. 3 search (doubling then bisection over φ). The
-	// driver caches the last evaluation at each end of the bracket, so
-	// the segment repair below no longer re-solves the whole fleet at
-	// lb and ub. A warm start from a previous solve shortcuts the
-	// doubling; F(tiny φ) = 0 because every idle marginal cost
-	// T′_i(0)/λ′ is positive.
-	sol, err := searchPhi(phiEvaluator{
-		eval: ratesAt,
-		copyRates: func(dst []float64) []float64 {
-			if dst == nil {
-				dst = make([]float64, len(scratch))
-			}
-			copy(dst, scratch)
-			return dst
-		},
-	}, lambda, outerStart(opts), eps, !opts.NoRescale)
+	sol, err := searchPhi(denseEvaluator(g, solvers, opts.Parallel, solveOne), lambda, eps, opts)
 	if err != nil {
 		return nil, fmt.Errorf("core: failed to bracket φ: %w", err)
 	}
-	phi := sol.Phi
-
-	// F can be (numerically) discontinuous at the optimal φ: a large,
-	// lightly loaded server has an almost *flat* marginal cost
-	// ≈ x̄_i/λ′ over a wide rate range (queueing is negligible until
-	// its utilization grows), so as φ crosses that plateau the induced
-	// rate — and F — jumps. The optimizing set at the jump is the whole
-	// segment between the two sides, every point of which satisfies the
-	// KKT conditions; pick the point on the segment meeting the
-	// conservation constraint exactly.
-	rates, f := sol.Rates, sol.F
-	if !opts.NoRescale {
-		if sol.FHi > sol.FLo && sol.FLo <= lambda && lambda <= sol.FHi {
-			t := (lambda - sol.FLo) / (sol.FHi - sol.FLo)
-			var sum numeric.KahanSum
-			for i := range rates {
-				rates[i] = sol.RatesLo[i] + t*(sol.RatesHi[i]-sol.RatesLo[i])
-				sum.Add(rates[i])
-			}
-			f = sum.Value()
-		}
-		// Remove the remaining float dust with an exact projection;
-		// the factor is 1 ± O(ε) and cannot de-stabilize a server.
-		if f > 0 {
-			scale := lambda / f
-			for i := range rates {
-				rates[i] *= scale
-			}
-			if err := g.Feasible(rates); err != nil {
-				for i := range rates {
-					rates[i] /= scale
-				}
-			}
-		}
-	}
-
+	rates := sol.Rates
 	res := &Result{
 		Rates:           rates,
-		Phi:             phi,
+		Phi:             sol.Phi,
 		AvgResponseTime: g.AverageResponseTime(opts.Discipline, rates),
 		Utilizations:    g.Utilizations(rates),
 		ResponseTimes:   g.ResponseTimes(opts.Discipline, rates),
 		Discipline:      opts.Discipline,
 		TotalRate:       lambda,
+		cost:            solveCost{evals: sol.Evals},
+	}
+	for i := range solvers {
+		res.cost.kernelCalls += solvers[i].calls
 	}
 	return res, nil
+}
+
+// denseEvaluator wires a station-indexed solve into the outer search.
+// Each F(φ) probe runs solve for every station into one reused scratch
+// vector, optionally fanned out over goroutines. The per-station
+// solvers supply the slope terms, the entry points MC_i(0) and
+// Σ λ′_max,i; every total is accumulated in station order.
+func denseEvaluator(g *model.Group, solvers []stationSolver, parallel bool, solve func(i int, phi float64) float64) phiEvaluator {
+	n := g.N()
+	scratch := make([]float64, n)
+	ev := phiEvaluator{
+		eval: func(phi float64) (float64, float64) {
+			workers := runtime.GOMAXPROCS(0)
+			if parallel && n > 1 && workers > 1 {
+				// Per-server solves are independent; fan out over
+				// contiguous chunks, then sum sequentially so the result
+				// is bit-identical to the sequential path. (Each solver's
+				// warm-start state is owned by exactly one chunk, and its
+				// evolution depends only on the per-server φ sequence, so
+				// parallel and sequential runs stay bit-identical too.)
+				if workers > n {
+					workers = n
+				}
+				var wg sync.WaitGroup
+				chunk := (n + workers - 1) / workers
+				for lo := 0; lo < n; lo += chunk {
+					hi := min(lo+chunk, n)
+					wg.Add(1)
+					go func(lo, hi int) {
+						defer wg.Done()
+						for i := lo; i < hi; i++ {
+							scratch[i] = solve(i, phi)
+						}
+					}(lo, hi)
+				}
+				wg.Wait()
+			} else {
+				for i := range scratch {
+					scratch[i] = solve(i, phi)
+				}
+			}
+			var sum, slope numeric.KahanSum
+			for i, r := range scratch {
+				sum.Add(r)
+				if d := solvers[i].dlam; d > 0 {
+					slope.Add(d)
+				}
+			}
+			return sum.Value(), slope.Value()
+		},
+		scratch:  scratch,
+		total:    numeric.Sum,
+		feasible: g.Feasible,
+		entries:  make([]float64, 0, n),
+	}
+	var maxRate numeric.KahanSum
+	for i := range solvers {
+		if mc0 := solvers[i].mc0; !math.IsInf(mc0, 1) {
+			ev.entries = append(ev.entries, mc0)
+		}
+		if r := solvers[i].maxRate; r > 0 {
+			maxRate.Add(r)
+		}
+	}
+	sort.Float64s(ev.entries)
+	ev.maxRate = maxRate.Value()
+	return ev
 }
 
 // FindRate implements the paper's Fig. 2 algorithm Find_λ′_i: the

@@ -127,12 +127,7 @@ func newSparseFleet(g *model.Group, lambda float64, opts Options, eps, rhoCap fl
 	for ci := range classes {
 		cl := &classes[ci]
 		cl.solver = newStationSolver(cl.rep, g.TaskSize, lambda, opts.Discipline, eps, rhoCap)
-		if cl.solver.maxRate <= 0 {
-			cl.mc0 = math.Inf(1)
-			continue
-		}
-		mc, _ := cl.solver.costDeriv(0)
-		cl.mc0 = mc
+		cl.mc0 = cl.solver.mc0
 	}
 	// Sort by MC(0) ascending (ties broken by first member index so the
 	// ordering is deterministic); remap the station→class table through
@@ -178,15 +173,18 @@ func (sf *sparseFleet) solveClass(c int, phi float64) float64 {
 	return cl.solver.findRate(phi)
 }
 
-// ratesAt evaluates F(φ): the active prefix of classes (MC(0) < φ) is
-// solved — sequentially or chunked over goroutines — the pruned suffix
-// is zeroed without any evaluation, and the total is compensated in
-// station order so it is bit-identical to the dense path's sum.
-func (sf *sparseFleet) ratesAt(phi float64) float64 {
-	active := sort.Search(len(sf.classes), func(i int) bool { return sf.classes[i].mc0 >= phi })
+// ratesAt evaluates F(φ) and F′(φ): the active prefix of classes
+// (MC(0) ≤ φ) is solved — sequentially or chunked over goroutines — the
+// pruned suffix is zeroed without any evaluation, and both totals are
+// compensated in station order so they are bit-identical to the dense
+// path's sums. A class with MC(0) = φ exactly carries no rate but still
+// contributes its right-derivative to F′, so it is solved too.
+func (sf *sparseFleet) ratesAt(phi float64) (float64, float64) {
+	active := sort.Search(len(sf.classes), func(i int) bool { return sf.classes[i].mc0 > phi })
 	rates := sf.scratch
 	for c := active; c < len(rates); c++ {
 		rates[c] = 0
+		sf.classes[c].solver.dlam = 0
 	}
 	workers := runtime.GOMAXPROCS(0)
 	if sf.opts.Parallel && active > 1 && workers > 1 {
@@ -218,7 +216,14 @@ func (sf *sparseFleet) ratesAt(phi float64) float64 {
 			rates[c] = sf.solveClass(c, phi)
 		}
 	}
-	return sf.totalOf(rates)
+	var sum, slope numeric.KahanSum
+	for _, ci := range sf.classOf {
+		sum.Add(rates[ci])
+		if d := sf.classes[ci].solver.dlam; d > 0 {
+			slope.Add(d)
+		}
+	}
+	return sum.Value(), slope.Value()
 }
 
 // totalOf sums a class-rate vector over stations in station order with
@@ -319,49 +324,49 @@ func (sf *sparseFleet) result(classRates []float64, phi float64) *Result {
 	return res
 }
 
+// evaluator wires the class-indexed solve into the outer search. The
+// entry points are the classes' MC(0), already ascending: one per class
+// where the dense path lists every member, which the search cannot
+// tell apart since it only looks up the nearest entry below φ. Σ λ′_max,i
+// is accumulated in station order like the dense path's.
+func (sf *sparseFleet) evaluator() phiEvaluator {
+	var maxRate numeric.KahanSum
+	for _, ci := range sf.classOf {
+		if r := sf.classes[ci].solver.maxRate; r > 0 {
+			maxRate.Add(r)
+		}
+	}
+	entries := make([]float64, 0, len(sf.classes))
+	for c := range sf.classes {
+		if mc0 := sf.classes[c].mc0; !math.IsInf(mc0, 1) {
+			entries = append(entries, mc0)
+		}
+	}
+	return phiEvaluator{
+		eval:     sf.ratesAt,
+		scratch:  sf.scratch,
+		total:    sf.totalOf,
+		feasible: sf.feasible,
+		entries:  entries,
+		maxRate:  maxRate.Value(),
+	}
+}
+
 // optimizeSparse is Optimize's fleet-scale body: the identical outer
-// Fig. 3 search driven over class-indexed rate vectors. Validation and
-// the utilization-cap headroom check already ran in Optimize.
+// search driven over class-indexed rate vectors. Validation and the
+// utilization-cap headroom check already ran in Optimize. The segment
+// repair interpolates per class and re-totals in station order, so it
+// too stays bit-identical to the dense path.
 func optimizeSparse(g *model.Group, lambda float64, opts Options, eps, rhoCap float64) (*Result, error) {
 	fleet := newSparseFleet(g, lambda, opts, eps, rhoCap)
-	sol, err := searchPhi(phiEvaluator{
-		eval: fleet.ratesAt,
-		copyRates: func(dst []float64) []float64 {
-			if dst == nil {
-				dst = make([]float64, len(fleet.scratch))
-			}
-			copy(dst, fleet.scratch)
-			return dst
-		},
-	}, lambda, outerStart(opts), eps, !opts.NoRescale)
+	sol, err := searchPhi(fleet.evaluator(), lambda, eps, opts)
 	if err != nil {
 		return nil, fmt.Errorf("core: failed to bracket φ: %w", err)
 	}
-	classRates, f := sol.Rates, sol.F
-	if !opts.NoRescale {
-		// Segment repair at a (numerically) discontinuous F — see the
-		// dense path for the full argument. Interpolation is per class;
-		// the re-total runs in station order to stay bit-identical.
-		if sol.FHi > sol.FLo && sol.FLo <= lambda && lambda <= sol.FHi {
-			t := (lambda - sol.FLo) / (sol.FHi - sol.FLo)
-			for c := range classRates {
-				classRates[c] = sol.RatesLo[c] + t*(sol.RatesHi[c]-sol.RatesLo[c])
-			}
-			f = fleet.totalOf(classRates)
-		}
-		// Remove the remaining float dust with an exact projection;
-		// the factor is 1 ± O(ε) and cannot de-stabilize a station.
-		if f > 0 {
-			scale := lambda / f
-			for c := range classRates {
-				classRates[c] *= scale
-			}
-			if err := fleet.feasible(classRates); err != nil {
-				for c := range classRates {
-					classRates[c] /= scale
-				}
-			}
-		}
+	res := fleet.result(sol.Rates, sol.Phi)
+	res.cost.evals = sol.Evals
+	for c := range fleet.classes {
+		res.cost.kernelCalls += fleet.classes[c].solver.calls
 	}
-	return fleet.result(classRates, sol.Phi), nil
+	return res, nil
 }

@@ -121,71 +121,26 @@ func OptimizeTotal(g *model.Group, lambda float64, opts Options) (*TotalResult, 
 		return r
 	}
 	// Newton-accelerated per-station solvers on the fleet-wide marginal
-	// cost; rateFor above is the pure-bisection oracle they fall back to
-	// (and the only path under opts.PureBisection).
+	// cost; rateFor above is the pure-bisection oracle, the only inner
+	// path under opts.PureBisection.
 	solvers := make([]stationSolver, g.N())
 	for i, s := range g.Servers {
 		solvers[i] = newStationSolver(s, g.TaskSize, bigLambda, opts.Discipline, eps, 1)
-		solvers[i].totalObj = true
+		solvers[i].useTotalObjective()
 	}
-	ratesAt := func(phi float64) ([]float64, float64) {
-		rates := make([]float64, g.N())
-		var sum numeric.KahanSum
-		for i := range g.Servers {
-			if opts.PureBisection {
-				rates[i] = rateFor(g.Servers[i], phi)
-			} else {
-				rates[i] = solvers[i].findRate(phi)
-			}
-			sum.Add(rates[i])
+	solveOne := func(i int, phi float64) float64 {
+		if opts.PureBisection {
+			return rateFor(g.Servers[i], phi)
 		}
-		return rates, sum.Value()
+		return solvers[i].findRate(phi)
 	}
-	total := func(phi float64) float64 {
-		_, f := ratesAt(phi)
-		return f
-	}
-
-	phiHi, err := numeric.ExpandUpper(func(phi float64) bool { return total(phi) >= lambda }, 1e-12, 0, 0)
+	// The fleet-wide objective always conserves λ′ exactly.
+	opts.NoRescale = false
+	sol, err := searchPhi(denseEvaluator(g, solvers, opts.Parallel, solveOne), lambda, eps, opts)
 	if err != nil {
 		return nil, fmt.Errorf("core: failed to bracket φ: %w", err)
 	}
-	lb, ub := 0.0, phiHi
-	for i := 0; ub-lb > eps*phiHi && i < numeric.MaxIterations; i++ {
-		mid := lb + (ub-lb)/2
-		if mid == lb || mid == ub { //bladelint:allow floateq -- bisection fixed point: the midpoint collided with a bound
-			break
-		}
-		if total(mid) >= lambda {
-			ub = mid
-		} else {
-			lb = mid
-		}
-	}
-	phi := lb + (ub-lb)/2
-	rates, f := ratesAt(phi)
-	ratesLo, fLo := ratesAt(lb)
-	ratesHi, fHi := ratesAt(ub)
-	if fHi > fLo && fLo <= lambda && lambda <= fHi {
-		t := (lambda - fLo) / (fHi - fLo)
-		var sum numeric.KahanSum
-		for i := range rates {
-			rates[i] = ratesLo[i] + t*(ratesHi[i]-ratesLo[i])
-			sum.Add(rates[i])
-		}
-		f = sum.Value()
-	}
-	if f > 0 {
-		scale := lambda / f
-		for i := range rates {
-			rates[i] *= scale
-		}
-		if err := g.Feasible(rates); err != nil {
-			for i := range rates {
-				rates[i] /= scale
-			}
-		}
-	}
+	rates, phi := sol.Rates, sol.Phi
 
 	res := &TotalResult{Rates: rates, Phi: phi, Utilizations: g.Utilizations(rates)}
 	var all, gen, spe numeric.KahanSum

@@ -225,6 +225,53 @@ func TestHealthEndpointsTriggerReoptimization(t *testing.T) {
 	}
 }
 
+// TestHealthRecoveryRestoresDemandedRate pins the planned λ′ across an
+// outage that sheds load. With the rate estimator cold (nobody
+// dispatches), a health-triggered re-solve has no measured rate to go
+// on and must fall back to the demanded rate. Falling back to the last
+// plan's λ′, which after a shed is only the admitted part, would
+// ratchet the plan down with every shed and keep it there after every
+// station is back.
+func TestHealthRecoveryRestoresDemandedRate(t *testing.T) {
+	g := model.LiExample1Group()
+	demanded := 0.8 * g.MaxGenericRate()
+	s := newTestServer(t, func(c *Config) {
+		c.Lambda = demanded
+		c.Breaker.Disabled = true
+	})
+	h := s.Handler()
+	version := s.Plan().Version
+	post := func(station int, up bool) *Plan {
+		t.Helper()
+		if w := postJSON(t, h, "/v1/health", map[string]any{"station": station, "up": up}); w.Code != http.StatusAccepted {
+			t.Fatalf("health post (station %d, up %v): status %d", station, up, w.Code)
+		}
+		version++
+		return waitPlanVersion(t, s, version)
+	}
+	shed := false
+	for _, station := range []int{6, 5, 4} {
+		p := post(station, false)
+		shed = shed || p.Shed > 0
+		if got := p.Admitted + p.Shed; math.Abs(got-demanded) > 1e-9*demanded {
+			t.Fatalf("station %d down: admitted %g + shed %g = %g, want the demanded %g", station, p.Admitted, p.Shed, got, demanded)
+		}
+	}
+	if !shed {
+		t.Fatal("the outage never shed load; the scenario does not exercise admission control")
+	}
+	var p *Plan
+	for _, station := range []int{4, 5, 6} {
+		p = post(station, true)
+	}
+	if p.Survivors != g.N() || p.Shed != 0 {
+		t.Fatalf("after recovery: %d survivors, shed %g; want %d and 0", p.Survivors, p.Shed, g.N())
+	}
+	if math.Abs(p.Lambda-demanded) > 1e-9*demanded {
+		t.Fatalf("after recovery the plan serves λ′ = %g, want the demanded %g", p.Lambda, demanded)
+	}
+}
+
 func TestMetricsEndpoint(t *testing.T) {
 	s := newTestServer(t, nil)
 	h := s.Handler()

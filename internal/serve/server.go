@@ -1118,7 +1118,10 @@ func (s *Server) doResolve(req resolveReq) (*Plan, error) {
 		if rate, warm := s.Estimate(); warm && rate > 0 {
 			lambda = rate
 		} else {
-			lambda = cur.Lambda
+			// The demanded rate, not cur.Lambda: after a shed the plan's
+			// λ′ is only what the survivors could absorb, and reusing it
+			// would keep the shed in force after they recover.
+			lambda = cur.Admitted + cur.Shed
 		}
 	}
 	up, ramp := s.applyBreakers(up)
