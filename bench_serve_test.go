@@ -4,15 +4,22 @@ package repro
 // lock-free dispatch path, single-shot and batched, under parallel
 // load. cmd/bladebench captures them in BENCH_<date>.json snapshots and
 // CI gates them against the committed baseline, 0 allocs/op included.
+// The BenchmarkHandler* series times the HTTP layer around it.
 
 import (
+	"bytes"
+	"fmt"
 	"io"
 	"log/slog"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/model"
+	"repro/internal/queueing"
 	"repro/internal/serve"
 )
 
@@ -124,3 +131,97 @@ func BenchmarkDispatchBatch16(b *testing.B) { benchDispatchBatch(b, 16, serve.Po
 // batch length) and the chosen stations' depth increments land as one
 // add per distinct station.
 func BenchmarkDispatchBatchJSQ2(b *testing.B) { benchDispatchBatch(b, 8, serve.PolicyJSQ) }
+
+// --- The HTTP layer: one request through the full serve.Server.Handler
+// stack (mux, in-flight bound, handler, JSON framing) per op, on an
+// in-memory request and a reusable writer that discards the body, so
+// B/op and allocs/op are the daemon's own. ---
+
+// discardWriter is a reusable http.ResponseWriter that keeps only the
+// status.
+type discardWriter struct {
+	header http.Header
+	code   int
+}
+
+func (w *discardWriter) Header() http.Header  { return w.header }
+func (w *discardWriter) WriteHeader(code int) { w.code = code }
+func (w *discardWriter) Write(p []byte) (int, error) {
+	if w.code == 0 {
+		w.code = http.StatusOK
+	}
+	return len(p), nil
+}
+
+// benchHandler serves method path with body (re-read every op) through
+// h and requires status want.
+func benchHandler(b *testing.B, h http.Handler, method, path, body string, want int) {
+	b.Helper()
+	rd := bytes.NewReader(nil)
+	req := httptest.NewRequest(method, path, nil)
+	req.Body = io.NopCloser(rd)
+	w := &discardWriter{header: http.Header{}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rd.Reset([]byte(body))
+		w.code = 0
+		h.ServeHTTP(w, req)
+		if w.code != want {
+			b.Fatalf("%s %s: status %d, want %d", method, path, w.code, want)
+		}
+	}
+}
+
+// BenchmarkHandlerDispatch is POST /v1/dispatch on the paper's Example 1
+// in router mode: Decide plus the HTTP framing around it.
+func BenchmarkHandlerDispatch(b *testing.B) {
+	g := model.LiExample1Group()
+	s, err := serve.New(serve.Config{
+		Group:  g,
+		Lambda: 0.5 * g.MaxGenericRate(),
+		Window: time.Hour,
+		Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	benchHandler(b, s.Handler(), http.MethodPost, "/v1/dispatch", "", http.StatusOK)
+}
+
+// newFleetServer serves the 10,000-station signatureFleet with the
+// sparse solver, as bladed -sparse does, at half saturation.
+func newFleetServer(b *testing.B) (*serve.Server, float64) {
+	b.Helper()
+	g := signatureFleet(b, 10000)
+	lambda := 0.5 * g.MaxGenericRate()
+	s, err := serve.New(serve.Config{
+		Group:  g,
+		Lambda: lambda,
+		Opts:   core.Options{Discipline: queueing.FCFS, Sparse: true, Parallel: true},
+		Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return s, lambda
+}
+
+// BenchmarkHandlerPostPlanN10k is an operator re-plan at fleet scale:
+// POST /v1/plan re-solves the fleet warm at its planned λ′ and answers
+// with the full plan.
+func BenchmarkHandlerPostPlanN10k(b *testing.B) {
+	s, lambda := newFleetServer(b)
+	defer s.Close()
+	benchHandler(b, s.Handler(), http.MethodPost, "/v1/plan", fmt.Sprintf(`{"lambda": %v}`, lambda), http.StatusOK)
+}
+
+// BenchmarkHandlerGetHealthN10k is the fleet's health view, GET
+// /v1/health: the body POST /v1/health answers with, without the
+// re-solve a health change queues.
+func BenchmarkHandlerGetHealthN10k(b *testing.B) {
+	s, _ := newFleetServer(b)
+	defer s.Close()
+	benchHandler(b, s.Handler(), http.MethodGet, "/v1/health", "", http.StatusOK)
+}

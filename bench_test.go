@@ -84,7 +84,11 @@ func BenchmarkFig15(b *testing.B) { benchFigure(b, "fig15") }
 // --- Core solver scaling: one optimization at the paper's operating
 // point, for growing cluster sizes. ---
 
-func benchOptimize(b *testing.B, n int, d queueing.Discipline) {
+// signatureFleet builds an n-station group from a repeating pattern of
+// 8 sizes and 7 speeds: 56 distinct (size, speed) classes, so the sparse
+// path's class clustering does real work without being degenerate
+// (~180 stations per class at n=10,000).
+func signatureFleet(b *testing.B, n int) *model.Group {
 	b.Helper()
 	sizes := make([]int, n)
 	speeds := make([]float64, n)
@@ -96,6 +100,12 @@ func benchOptimize(b *testing.B, n int, d queueing.Discipline) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return g
+}
+
+func benchOptimize(b *testing.B, n int, d queueing.Discipline) {
+	b.Helper()
+	g := signatureFleet(b, n)
 	lambda := 0.5 * g.MaxGenericRate()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -146,22 +156,11 @@ func BenchmarkOptimizeWarmDriftN7(b *testing.B) {
 // The N10k series is the ROADMAP's "well under a second" target and is
 // gated in CI with an absolute time budget via bladebench -budget. ---
 
-// benchOptimizeSparse solves a clustered fleet with the sparse path.
-// The station mix reuses benchOptimize's signature pattern (56 distinct
-// (size, speed) classes), so class clustering does real work without
-// being degenerate: ~180 stations per class at n=10,000.
+// benchOptimizeSparse solves a clustered fleet (signatureFleet) with
+// the sparse path.
 func benchOptimizeSparse(b *testing.B, n int, d queueing.Discipline, frac, rhoCap float64) {
 	b.Helper()
-	sizes := make([]int, n)
-	speeds := make([]float64, n)
-	for i := 0; i < n; i++ {
-		sizes[i] = 2 + 2*(i%8)
-		speeds[i] = 1.7 - 0.1*float64(i%7)
-	}
-	g, err := model.PaperGroup(sizes, speeds, 1.0, 0.3)
-	if err != nil {
-		b.Fatal(err)
-	}
+	g := signatureFleet(b, n)
 	lambda := frac * g.MaxGenericRate()
 	opts := core.Options{Discipline: d, Sparse: true, CompactResult: true, MaxUtilization: rhoCap}
 	b.ReportAllocs()

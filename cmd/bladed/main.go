@@ -73,7 +73,7 @@ func run(args []string, ready chan<- string) error {
 	window := fs.Duration("window", 30*time.Second, "arrival-rate estimation window")
 	minResolve := fs.Duration("min-resolve", time.Second, "minimum interval between drift re-solves")
 	maxInFlight := fs.Int("max-inflight", 256, "bound on concurrently served API requests")
-	reqTimeout := fs.Duration("timeout", 5*time.Second, "per-request timeout")
+	reqTimeout := fs.Duration("timeout", 5*time.Second, "deadline for /v1 work that can block: request body reads, backend-mode dispatch, POST /v1/plan solves")
 	drainTimeout := fs.Duration("drain", 10*time.Second, "graceful-shutdown drain deadline")
 	logLevel := fs.String("log-level", "info", "log level: debug, info, warn, error")
 	policy := fs.String("policy", "static",

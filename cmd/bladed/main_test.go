@@ -68,8 +68,12 @@ func TestDaemonEndToEnd(t *testing.T) {
 		}
 	}
 
-	if code, body := get("/v1/plan"); code != http.StatusOK || !strings.Contains(body, `"version": 1`) {
-		t.Fatalf("plan: %d %s", code, body)
+	code, body := get("/v1/plan")
+	var plan struct {
+		Version *int64 `json:"version"`
+	}
+	if err := json.Unmarshal([]byte(body), &plan); code != http.StatusOK || err != nil || plan.Version == nil || *plan.Version != 1 {
+		t.Fatalf("plan: %d %s (decode error %v), want version 1", code, body, err)
 	}
 	if code, body := get("/metrics"); code != http.StatusOK || !strings.Contains(body, "bladed_dispatch_total 10") {
 		t.Fatalf("metrics: %d\n%s", code, body)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"sort"
 
@@ -70,6 +71,11 @@ func searchPhi(ev phiEvaluator, lambda, eps float64, opts Options) (phiSolution,
 		}
 		sol, err = bisectPhi(ev, lambda, start, eps, !opts.NoRescale)
 	} else {
+		if len(ev.entries) == 0 {
+			// Every MC_i(0) is +Inf: λ′ is so small that 1/λ′ overflows,
+			// and no φ loads any station.
+			return sol, fmt.Errorf("no station has a finite marginal cost at λ′=%g", lambda)
+		}
 		start := ev.entries[0]
 		if warm && opts.WarmPhi > start {
 			start = opts.WarmPhi

@@ -297,8 +297,7 @@ func (s *Server) handleDispatchBatch(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Count int `json:"count"`
 	}
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request: %v", err)
+	if !s.decodeJSON(w, r, &req) {
 		return
 	}
 	if req.Count < 1 || req.Count > maxBatchRequest {

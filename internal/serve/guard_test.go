@@ -241,6 +241,20 @@ func TestObserveEndpointFeedsDetector(t *testing.T) {
 	if w := postJSON(t, h, "/v1/observe", map[string]any{"station": 99, "outcome": "success"}); w.Code != 400 {
 		t.Fatalf("out-of-range station status %d", w.Code)
 	}
+	// A latency the tracker would drop after the 202 is refused: negative,
+	// or past time.Duration's range (math.MaxInt64 ns ≈ 9.22e9 s).
+	for _, latency := range []float64{-1, 1e300, 9.3e9} {
+		w := postJSON(t, h, "/v1/observe", map[string]any{"station": 1, "outcome": "success", "latency_seconds": latency})
+		if w.Code != 400 || !strings.Contains(w.Body.String(), "latency_seconds") {
+			t.Fatalf("latency %g: %d %s, want 400", latency, w.Code, w.Body)
+		}
+	}
+	if suc, _, _ := s.tracker.totals(1); suc != 0 {
+		t.Fatalf("%d refused outcomes recorded", suc)
+	}
+	if w := postJSON(t, h, "/v1/observe", map[string]any{"station": 1, "outcome": "success", "latency_seconds": 9.2e9}); w.Code != 202 {
+		t.Fatalf("latency 9.2e9 s: %d %s, want 202", w.Code, w.Body)
+	}
 }
 
 func TestResilienceMetricsExposed(t *testing.T) {

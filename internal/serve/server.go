@@ -15,13 +15,17 @@
 //
 // Production plumbing: admission control sheds with 503 when the
 // observed rate would push a surviving station to ρ_i ≥ 1, in-flight
-// concurrency is bounded, every API request carries a deadline,
-// operational counters export in Prometheus text format (backed by
-// internal/metrics, no external deps), and /debug/pprof is mounted.
+// concurrency is bounded, the API work that can block (request bodies,
+// backend-mode dispatch, the synchronous re-solve) runs under a
+// deadline, operational counters export in Prometheus text format
+// (backed by internal/metrics, no external deps), and /debug/pprof is
+// mounted.
 package serve
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -29,6 +33,7 @@ import (
 	randv2 "math/rand/v2"
 	"net/http"
 	"net/http/pprof"
+	"os"
 	"runtime"
 	"strconv"
 	"sync"
@@ -66,7 +71,10 @@ type Config struct {
 	// MaxInFlight bounds concurrently served API requests; excess gets
 	// 503. Default 256.
 	MaxInFlight int
-	// RequestTimeout bounds each API request. Default 5s.
+	// RequestTimeout bounds the /v1 work that can block: reading a
+	// request body, a backend-mode dispatch, and the synchronous
+	// POST /v1/plan re-solve. Each answers 503 "request timed out" when
+	// it runs out. Default 5s.
 	RequestTimeout time.Duration
 	// Now injects a clock for deterministic tests. Default time.Now.
 	Now func() time.Time
@@ -317,7 +325,8 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Close stops the background resolver. Safe to call more than once;
+// Close stops the background resolver and waits for any re-solve a
+// timed-out POST /v1/plan left running. Safe to call more than once;
 // call after the HTTP server has drained.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() { close(s.done) })
@@ -359,7 +368,11 @@ func (s *Server) Estimate() (rate float64, warm bool) {
 // history the detector has accumulated. Breaker-driven transitions
 // never touch the operator vector.
 //
-// The /v1 API is bounded by MaxInFlight and RequestTimeout.
+// The /v1 API is bounded by MaxInFlight. RequestTimeout bounds only
+// the work that can block: the request body read, a backend-mode
+// dispatch, and the POST /v1/plan solve. Everything else runs in
+// bounded time and writes its compact JSON answer straight to the
+// connection.
 func (s *Server) Handler() http.Handler {
 	api := http.NewServeMux()
 	api.HandleFunc("POST /v1/dispatch", s.handleDispatch)
@@ -369,8 +382,7 @@ func (s *Server) Handler() http.Handler {
 	api.HandleFunc("GET /v1/health", s.handleGetHealth)
 	api.HandleFunc("POST /v1/health", s.handlePostHealth)
 	api.HandleFunc("POST /v1/observe", s.handleObserve)
-	bounded := s.limitInFlight(http.TimeoutHandler(api, s.cfg.RequestTimeout,
-		`{"error":"request timed out"}`))
+	bounded := s.limitInFlight(api)
 
 	root := http.NewServeMux()
 	root.Handle("/v1/", bounded)
@@ -598,7 +610,15 @@ func (s *Server) driftCheck(plan *Plan, rate float64, warm bool) {
 }
 
 func (s *Server) handleDispatch(w http.ResponseWriter, r *http.Request) {
-	res := s.Dispatch(r.Context())
+	ctx := r.Context()
+	if s.backend != nil {
+		// An executed request waits on the backend; a routing decision
+		// never blocks, so only the former runs under the deadline.
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
+		defer cancel()
+	}
+	res := s.Dispatch(ctx)
 	if res.Rejected {
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds(res.Decision)))
 		writeError(w, http.StatusServiceUnavailable,
@@ -606,6 +626,10 @@ func (s *Server) handleDispatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if res.Err != nil {
+		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+			writeError(w, http.StatusServiceUnavailable, errTimedOut)
+			return
+		}
 		writeError(w, http.StatusBadGateway,
 			"backend failed after %d attempts: %v", res.Attempts, res.Err)
 		return
@@ -676,11 +700,11 @@ func (s *Server) handleGetPlan(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handlePostPlan(w http.ResponseWriter, r *http.Request) {
+	deadline := time.Now().Add(s.cfg.RequestTimeout)
 	var req struct {
 		Lambda float64 `json:"lambda"`
 	}
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request: %v", err)
+	if !s.decodeJSON(w, r, &req) {
 		return
 	}
 	if math.IsNaN(req.Lambda) || math.IsInf(req.Lambda, 0) || req.Lambda < 0 {
@@ -701,12 +725,47 @@ func (s *Server) handlePostPlan(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	plan, err := s.doResolve(resolveReq{lambda: req.Lambda, reason: "api"})
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "re-solve failed: %v", err)
-		return
+	// The solve waits on solveMu behind any background re-solve, so it
+	// runs on its own goroutine and the request gives up at its
+	// deadline. A solve that outlives the request still publishes its
+	// plan; Close waits for it.
+	type solved struct {
+		plan     *Plan
+		err      error
+		panicked any
 	}
-	writeJSON(w, http.StatusOK, plan)
+	done := make(chan solved, 1)
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		var res solved
+		defer func() {
+			// A panic on this goroutine would end the daemon. Hand it
+			// to the handler, which re-raises it where net/http recovers
+			// it, as it would had the solve run on the handler's own
+			// goroutine; log it in case the handler has given up.
+			if res.panicked = recover(); res.panicked != nil {
+				s.log.Error("re-solve panicked", "reason", "api", "panic", res.panicked)
+			}
+			done <- res
+		}()
+		res.plan, res.err = s.doResolve(resolveReq{lambda: req.Lambda, reason: "api"})
+	}()
+	timer := time.NewTimer(time.Until(deadline))
+	defer timer.Stop()
+	select {
+	case res := <-done:
+		if res.panicked != nil {
+			panic(res.panicked)
+		}
+		if res.err != nil {
+			writeError(w, http.StatusInternalServerError, "re-solve failed: %v", res.err)
+			return
+		}
+		writeJSON(w, http.StatusOK, res.plan)
+	case <-timer.C:
+		writeError(w, http.StatusServiceUnavailable, errTimedOut)
+	}
 }
 
 // HealthState is the body of GET /v1/health. Up is the EFFECTIVE
@@ -753,7 +812,12 @@ func (s *Server) healthState() HealthState {
 	rate, warm := s.Estimate()
 	now := s.now()
 	nowNs := now.UnixNano()
-	hs := HealthState{Up: make([]bool, len(op)), Estimate: rate, Warm: warm}
+	hs := HealthState{
+		Up:       make([]bool, len(op)),
+		Estimate: rate,
+		Warm:     warm,
+		Stations: make([]StationHealth, 0, len(op)),
+	}
 	for i := range op {
 		b := &s.breakers.stations[i]
 		state := b.state.Load()
@@ -804,8 +868,7 @@ func (s *Server) handlePostHealth(w http.ResponseWriter, r *http.Request) {
 		Station *int  `json:"station"`
 		Up      *bool `json:"up"`
 	}
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request: %v", err)
+	if !s.decodeJSON(w, r, &req) {
 		return
 	}
 	if req.Station == nil || req.Up == nil {
@@ -858,8 +921,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		Outcome        string  `json:"outcome"`
 		LatencySeconds float64 `json:"latency_seconds"`
 	}
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request: %v", err)
+	if !s.decodeJSON(w, r, &req) {
 		return
 	}
 	kind := numOutcomes
@@ -871,6 +933,13 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	if kind >= numOutcomes {
 		writeError(w, http.StatusBadRequest,
 			"unknown outcome %q (want success, error or timeout)", req.Outcome)
+		return
+	}
+	// A latency the tracker cannot hold as a time.Duration would be
+	// dropped after the 202; refuse it instead.
+	if req.LatencySeconds < 0 || req.LatencySeconds*float64(time.Second) >= math.MaxInt64 {
+		writeError(w, http.StatusBadRequest, "latency_seconds %g outside [0, %.6g)",
+			req.LatencySeconds, math.MaxInt64/float64(time.Second))
 		return
 	}
 	latency := time.Duration(req.LatencySeconds * float64(time.Second))
@@ -1140,23 +1209,48 @@ func (s *Server) doResolve(req resolveReq) (*Plan, error) {
 	return plan, nil
 }
 
-func decodeJSON(r *http.Request, v any) error {
+// errTimedOut is the error message of every 503 a request deadline
+// causes.
+const errTimedOut = "request timed out"
+
+// decodeJSON reads the request body into v under the request deadline
+// and reports whether the handler may go on; when it may not, the
+// error answer is written: 503 when the body stalled past the
+// deadline, 400 otherwise. An empty body leaves v at its defaults.
+func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	// A connection read deadline, on the wall clock: Config.Now may be
+	// virtual. Recorders and wrappers without deadlines answer
+	// ErrNotSupported and read unbounded, as there is no peer to stall.
+	rc := http.NewResponseController(w)
+	_ = rc.SetReadDeadline(time.Now().Add(s.cfg.RequestTimeout))
 	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		return err
+	switch {
+	case errors.Is(err, os.ErrDeadlineExceeded):
+		writeError(w, http.StatusServiceUnavailable, errTimedOut)
+		return false
+	case err != nil:
+		writeError(w, http.StatusBadRequest, "bad request: %v", err)
+		return false
 	}
-	if len(body) == 0 {
-		return nil // empty body means "all defaults"
+	// With the body read, lift the deadline: the server's idle read on
+	// the connection must not time out while the handler still works,
+	// which would cancel this and every later request's context.
+	_ = rc.SetReadDeadline(time.Time{})
+	if len(body) > 0 {
+		if err := json.Unmarshal(body, v); err != nil {
+			writeError(w, http.StatusBadRequest, "bad request: %v", err)
+			return false
+		}
 	}
-	return json.Unmarshal(body, v)
+	return true
 }
 
+// writeJSON writes v as compact JSON. The encoder marshals into its
+// own buffer and hands the ResponseWriter one write.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
