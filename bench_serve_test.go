@@ -154,22 +154,28 @@ func (w *discardWriter) Write(p []byte) (int, error) {
 }
 
 // benchHandler serves method path with body (re-read every op) through
-// h and requires status want.
+// h and requires status want. One untimed request goes first, so that
+// pooled response buffers are grown and a short run such as CI's
+// -benchtime 3x times the same steady state as a long one.
 func benchHandler(b *testing.B, h http.Handler, method, path, body string, want int) {
 	b.Helper()
 	rd := bytes.NewReader(nil)
 	req := httptest.NewRequest(method, path, nil)
 	req.Body = io.NopCloser(rd)
 	w := &discardWriter{header: http.Header{}}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	serve := func() {
 		rd.Reset([]byte(body))
 		w.code = 0
 		h.ServeHTTP(w, req)
 		if w.code != want {
 			b.Fatalf("%s %s: status %d, want %d", method, path, w.code, want)
 		}
+	}
+	serve()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve()
 	}
 }
 
@@ -192,15 +198,16 @@ func BenchmarkHandlerDispatch(b *testing.B) {
 
 // newFleetServer serves the 10,000-station signatureFleet with the
 // sparse solver, as bladed -sparse does, at half saturation.
-func newFleetServer(b *testing.B) (*serve.Server, float64) {
+func newFleetServer(b *testing.B, breaker serve.BreakerConfig) (*serve.Server, float64) {
 	b.Helper()
 	g := signatureFleet(b, 10000)
 	lambda := 0.5 * g.MaxGenericRate()
 	s, err := serve.New(serve.Config{
-		Group:  g,
-		Lambda: lambda,
-		Opts:   core.Options{Discipline: queueing.FCFS, Sparse: true, Parallel: true},
-		Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
+		Group:   g,
+		Lambda:  lambda,
+		Opts:    core.Options{Discipline: queueing.FCFS, Sparse: true, Parallel: true},
+		Breaker: breaker,
+		Logger:  slog.New(slog.NewTextHandler(io.Discard, nil)),
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -212,16 +219,48 @@ func newFleetServer(b *testing.B) (*serve.Server, float64) {
 // POST /v1/plan re-solves the fleet warm at its planned λ′ and answers
 // with the full plan.
 func BenchmarkHandlerPostPlanN10k(b *testing.B) {
-	s, lambda := newFleetServer(b)
+	s, lambda := newFleetServer(b, serve.BreakerConfig{})
 	defer s.Close()
 	benchHandler(b, s.Handler(), http.MethodPost, "/v1/plan", fmt.Sprintf(`{"lambda": %v}`, lambda), http.StatusOK)
+}
+
+// BenchmarkHandlerGetPlanN10k is GET /v1/plan on the fleet: the plan
+// body's encoding alone, with no solve.
+func BenchmarkHandlerGetPlanN10k(b *testing.B) {
+	s, _ := newFleetServer(b, serve.BreakerConfig{})
+	defer s.Close()
+	benchHandler(b, s.Handler(), http.MethodGet, "/v1/plan", "", http.StatusOK)
 }
 
 // BenchmarkHandlerGetHealthN10k is the fleet's health view, GET
 // /v1/health: the body POST /v1/health answers with, without the
 // re-solve a health change queues.
 func BenchmarkHandlerGetHealthN10k(b *testing.B) {
-	s, _ := newFleetServer(b)
+	s, _ := newFleetServer(b, serve.BreakerConfig{})
 	defer s.Close()
+	benchHandler(b, s.Handler(), http.MethodGet, "/v1/health", "", http.StatusOK)
+}
+
+// BenchmarkHandlerGetHealthLiveN10k is GET /v1/health on a fleet whose
+// failure detectors have seen traffic. Station i has reported 14
+// outcomes that spell i in binary, an error per set bit, so every
+// station carries its own error rate and suspicion: the body's 20,000
+// readings all differ, where the idle fleet of
+// BenchmarkHandlerGetHealthN10k reads zero throughout.
+// Breakers are off, so the readings trip nothing.
+func BenchmarkHandlerGetHealthLiveN10k(b *testing.B) {
+	s, _ := newFleetServer(b, serve.BreakerConfig{Disabled: true})
+	defer s.Close()
+	for i := 0; i < 10000; i++ {
+		for k := 0; k < 14; k++ {
+			kind := serve.OutcomeSuccess
+			if i>>k&1 == 1 {
+				kind = serve.OutcomeError
+			}
+			if err := s.ReportOutcome(i, kind, time.Duration(k+1)*time.Millisecond); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 	benchHandler(b, s.Handler(), http.MethodGet, "/v1/health", "", http.StatusOK)
 }

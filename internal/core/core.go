@@ -208,12 +208,13 @@ func Optimize(g *model.Group, lambda float64, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("core: failed to bracket φ: %w", err)
 	}
 	rates := sol.Rates
+	times := g.ResponseTimes(opts.Discipline, rates)
 	res := &Result{
 		Rates:           rates,
 		Phi:             sol.Phi,
-		AvgResponseTime: g.AverageResponseTime(opts.Discipline, rates),
+		AvgResponseTime: model.MeanResponseTime(rates, times),
 		Utilizations:    g.Utilizations(rates),
-		ResponseTimes:   g.ResponseTimes(opts.Discipline, rates),
+		ResponseTimes:   times,
 		Discipline:      opts.Discipline,
 		TotalRate:       lambda,
 		cost:            solveCost{evals: sol.Evals},

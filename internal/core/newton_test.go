@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/numeric"
 	"repro/internal/queueing"
 )
 
@@ -101,6 +102,41 @@ func TestNewtonWarmStartConsistency(t *testing.T) {
 		want := cold.bisectFallback(phi)
 		if diff := math.Abs(warm - want); diff > 2*cold.tol+1e-9 {
 			t.Errorf("φ=%g: warm-started rate %.15g vs bisection %.15g (diff %g)", phi, warm, want, diff)
+		}
+	}
+}
+
+// TestNewtonTinyLambdaConserves pins the cold start at λ′ far below the
+// Newton search's residual tolerance ε·Σλ′_max,i. At φ = min MC_i(0)
+// no station carries load, so F = 0 and |F − λ′| ≤ tolF; that must not
+// pass for convergence. Dense and sparse, under both disciplines, the
+// allocation must carry λ′ and its T′ must match the oracle's.
+func TestNewtonTinyLambdaConserves(t *testing.T) {
+	g := model.LiExample1Group()
+	for _, lambda := range []float64{1e-300, 1e-20, 1e-12, 4e-11, 4.7e-11} {
+		for _, d := range []queueing.Discipline{queueing.FCFS, queueing.Priority} {
+			oracle, err := Optimize(g, lambda, Options{Discipline: d, PureBisection: true})
+			if err != nil {
+				t.Fatalf("λ′=%g %v: oracle: %v", lambda, d, err)
+			}
+			for _, sparse := range []bool{false, true} {
+				label := fmt.Sprintf("λ′=%g %v sparse=%v", lambda, d, sparse)
+				res, err := Optimize(g, lambda, Options{Discipline: d, Sparse: sparse})
+				if err != nil {
+					t.Errorf("%s: %v", label, err)
+					continue
+				}
+				var sum numeric.KahanSum
+				for _, r := range res.Rates {
+					sum.Add(r)
+				}
+				if rel := math.Abs(sum.Value()-lambda) / lambda; !(rel <= 1e-12) {
+					t.Errorf("%s: Σλ′_i = %g (relative error %g)", label, sum.Value(), rel)
+				}
+				if diff := math.Abs(res.AvgResponseTime - oracle.AvgResponseTime); !(diff <= 1e-9) {
+					t.Errorf("%s: T′ = %.15g, oracle %.15g", label, res.AvgResponseTime, oracle.AvgResponseTime)
+				}
+			}
 		}
 	}
 }

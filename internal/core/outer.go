@@ -88,6 +88,9 @@ func searchPhi(ev phiEvaluator, lambda, eps float64, opts Options) (phiSolution,
 	if !opts.NoRescale {
 		sol.conserve(ev, lambda)
 	}
+	if !(sol.F > 0) {
+		return sol, fmt.Errorf("the search for φ ended on an allocation carrying %g of λ′=%g", sol.F, lambda)
+	}
 	return sol, nil
 }
 
@@ -169,8 +172,11 @@ func newtonPhi(ev phiEvaluator, lambda, start, eps, tolF float64, needEndpoints 
 			sol.FLo = f
 			hasLo = true
 		}
-		if math.Abs(f-lambda) <= tolF {
+		if f > 0 && math.Abs(f-lambda) <= tolF {
 			// Converged: the end just cached holds the allocation at φ.
+			// F = 0 never converges, however small λ′ is against tolF:
+			// no station carries load there, so there is nothing for the
+			// conservation projection to scale up to λ′.
 			sol.Phi, sol.F = phi, f
 			sol.Rates = sol.RatesLo
 			if f >= lambda {

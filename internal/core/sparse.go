@@ -282,7 +282,11 @@ func (sf *sparseFleet) avgResponseTime(classRates []float64) float64 {
 
 // result freezes the solved class rates into a Result: always the
 // compact (station, rate) form, plus the dense slices unless the caller
-// opted out with CompactResult.
+// opted out with CompactResult. ρ_i and T′_i are functions of a
+// station's signature and rate alone, so each is evaluated once per
+// class and fanned out to the members, and T′ is totalled from them by
+// model.MeanResponseTime, as on the dense path: every field is
+// bit-identical to the dense path's.
 func (sf *sparseFleet) result(classRates []float64, phi float64) *Result {
 	n := sf.g.N()
 	nnz := 0
@@ -313,14 +317,22 @@ func (sf *sparseFleet) result(classRates []float64, phi float64) *Result {
 		res.AvgResponseTime = sf.avgResponseTime(classRates)
 		return res
 	}
-	rates := make([]float64, n)
-	for i, ci := range sf.classOf {
-		rates[i] = classRates[ci]
+	classUtil := make([]float64, len(sf.classes))
+	classResp := make([]float64, len(sf.classes))
+	for c := range sf.classes {
+		rep := sf.classes[c].rep
+		classUtil[c] = rep.Utilization(classRates[c], sf.g.TaskSize)
+		classResp[c] = rep.GenericResponseTime(sf.opts.Discipline, classRates[c], sf.g.TaskSize)
 	}
-	res.Rates = rates
-	res.AvgResponseTime = sf.g.AverageResponseTime(sf.opts.Discipline, rates)
-	res.Utilizations = sf.g.Utilizations(rates)
-	res.ResponseTimes = sf.g.ResponseTimes(sf.opts.Discipline, rates)
+	res.Rates = make([]float64, n)
+	res.Utilizations = make([]float64, n)
+	res.ResponseTimes = make([]float64, n)
+	for i, ci := range sf.classOf {
+		res.Rates[i] = classRates[ci]
+		res.Utilizations[i] = classUtil[ci]
+		res.ResponseTimes[i] = classResp[ci]
+	}
+	res.AvgResponseTime = model.MeanResponseTime(res.Rates, res.ResponseTimes)
 	return res
 }
 

@@ -262,6 +262,44 @@ func TestSparseDegradedRemap(t *testing.T) {
 	}
 }
 
+// TestSparseDegradedMatchesDenseBitIdentical pins the call serve's
+// buildPlan makes: OptimizeDegraded with stations down and the dense
+// result slices materialized. The per-class result must expand to the
+// same bits as the dense solve over the survivors.
+func TestSparseDegradedMatchesDenseBitIdentical(t *testing.T) {
+	g := clusteredFleet(512, 24)
+	up := make([]bool, g.N())
+	for i := range up {
+		up[i] = i%7 != 3
+	}
+	lambda := 0.4 * g.MaxGenericRate()
+	for _, d := range []queueing.Discipline{queueing.FCFS, queueing.Priority} {
+		dense, err := OptimizeDegraded(g, lambda, up, Options{Discipline: d})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sparse, err := OptimizeDegraded(g, lambda, up, Options{Discipline: d, Sparse: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range []struct {
+			name          string
+			dense, sparse []float64
+		}{
+			{"rates", dense.Rates, sparse.Rates},
+			{"utilizations", dense.Utilizations, sparse.Utilizations},
+			{"response times", dense.ResponseTimes, sparse.ResponseTimes},
+		} {
+			if i, ok := sameBits(f.dense, f.sparse); !ok {
+				t.Errorf("%v: %s differ at station %d", d, f.name, i)
+			}
+		}
+		if math.Float64bits(dense.AvgResponseTime) != math.Float64bits(sparse.AvgResponseTime) {
+			t.Errorf("%v: T′ differs: dense %.17g sparse %.17g", d, dense.AvgResponseTime, sparse.AvgResponseTime)
+		}
+	}
+}
+
 // TestSparseKKTProperty is the randomized property test: on seeded
 // heterogeneous fleets across three sizes, with and without a
 // utilization cap, the sparse path's allocation must satisfy the KKT

@@ -88,12 +88,23 @@ func (g *Group) Feasible(rates []float64) error {
 
 // AverageResponseTime returns T′ = Σ (λ′_i/λ′)·T′_i for the given
 // allocation under discipline d, where λ′ = Σ λ′_i. It is the objective
-// the optimizer minimizes. Servers with λ′_i = 0 carry no generic tasks
-// and do not contribute. Returns +Inf if any loaded server is
-// saturated, and 0 if the total rate is 0.
+// the optimizer minimizes. See MeanResponseTime for the totalling rules.
 func (g *Group) AverageResponseTime(d queueing.Discipline, rates []float64) float64 {
 	if len(rates) != len(g.Servers) {
 		panic(fmt.Sprintf("model: %d rates for %d servers", len(rates), len(g.Servers)))
+	}
+	return MeanResponseTime(rates, g.ResponseTimes(d, rates))
+}
+
+// MeanResponseTime returns T′ = Σ (λ′_i/λ′)·T′_i, where λ′ = Σ λ′_i,
+// for an allocation rates whose servers respond in times. Both sums are
+// compensated and run in server order. Servers with λ′_i = 0 carry no
+// generic tasks and do not contribute. Returns +Inf if any loaded
+// server is saturated, and 0 if the total rate is 0. Every T′ the
+// optimizer reports is totalled here, so equal inputs give equal bits.
+func MeanResponseTime(rates, times []float64) float64 {
+	if len(rates) != len(times) {
+		panic(fmt.Sprintf("model: %d rates for %d response times", len(rates), len(times)))
 	}
 	var total numeric.KahanSum
 	for _, r := range rates {
@@ -108,11 +119,10 @@ func (g *Group) AverageResponseTime(d queueing.Discipline, rates []float64) floa
 		if r == 0 { //bladelint:allow floateq -- exact zero rate contributes nothing and would divide by zero below
 			continue
 		}
-		t := g.Servers[i].GenericResponseTime(d, r, g.TaskSize)
-		if math.IsInf(t, 1) {
+		if math.IsInf(times[i], 1) {
 			return math.Inf(1)
 		}
-		acc.Add(r / lambda * t)
+		acc.Add(r / lambda * times[i])
 	}
 	return acc.Value()
 }

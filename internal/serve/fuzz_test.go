@@ -12,8 +12,17 @@ import (
 // endpoint that reads one, on the paper's Example 1, through Handler.
 // Whatever arrives, no handler may panic, the status must be one the
 // endpoint documents, and the body must decode strictly into the
-// endpoint's success shape (2xx) or into {"error": string}.
+// endpoint's success shape (2xx) or into {"error": string}. A body in
+// planStatus must also get that status from POST /v1/plan.
 func FuzzHandlerBodies(f *testing.F) {
+	planStatus := map[string]int{
+		// A λ′ below the solver's residual tolerance used to be solved
+		// to an all-zero allocation, which the picker refused with 500.
+		`{"lambda": 4e-11}`: http.StatusOK,
+	}
+	for seed := range planStatus {
+		f.Add([]byte(seed))
+	}
 	for _, seed := range []string{
 		// TestHealthEndpointsTriggerReoptimization's malformed bodies.
 		``, `{}`, `{"station": 1}`, `{"up": false}`, `{"station": 99, "up": false}`,
@@ -58,6 +67,9 @@ func FuzzHandlerBodies(f *testing.F) {
 			}
 			if !documented {
 				t.Fatalf("POST %s %q: undocumented status %d: %s", ep.path, body, w.Code, w.Body)
+			}
+			if want, ok := planStatus[string(body)]; ok && ep.path == "/v1/plan" && w.Code != want {
+				t.Fatalf("POST %s %q: status %d, want %d: %s", ep.path, body, w.Code, want, w.Body)
 			}
 			if ct := w.Header().Get("Content-Type"); ct != "application/json" {
 				t.Fatalf("POST %s %q: content type %q", ep.path, body, ct)

@@ -696,7 +696,7 @@ func clampInt(v, lo, hi int) int {
 }
 
 func (s *Server) handleGetPlan(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.plan.Load())
+	writeBody(w, http.StatusOK, s.plan.Load().appendJSON)
 }
 
 func (s *Server) handlePostPlan(w http.ResponseWriter, r *http.Request) {
@@ -762,7 +762,7 @@ func (s *Server) handlePostPlan(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusInternalServerError, "re-solve failed: %v", res.err)
 			return
 		}
-		writeJSON(w, http.StatusOK, res.plan)
+		writeBody(w, http.StatusOK, res.plan.appendJSON)
 	case <-timer.C:
 		writeError(w, http.StatusServiceUnavailable, errTimedOut)
 	}
@@ -853,7 +853,8 @@ func (s *Server) healthState() HealthState {
 }
 
 func (s *Server) handleGetHealth(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.healthState())
+	hs := s.healthState()
+	writeBody(w, http.StatusOK, hs.appendJSON)
 }
 
 // handlePostHealth applies an operator availability override. "Down"
@@ -907,7 +908,8 @@ func (s *Server) handlePostHealth(w http.ResponseWriter, r *http.Request) {
 			"station", station, "up", up, "breaker_reset", breakerReset)
 		s.maybeResolve(0, "health", true)
 	}
-	writeJSON(w, http.StatusAccepted, s.healthState())
+	hs := s.healthState()
+	writeBody(w, http.StatusAccepted, hs.appendJSON)
 }
 
 // handleObserve ingests one externally executed outcome:
