@@ -197,6 +197,44 @@ func BenchmarkOptimizeN10kDense(b *testing.B) {
 	benchOptimize(b, 10000, queueing.FCFS)
 }
 
+// BenchmarkOptimizeDegradedN10k is the solve behind each fleet re-plan,
+// made as serve's buildPlan makes it: the 10,000-station signatureFleet
+// indexed once by core.NewFleet, solved on the sparse path with the
+// dense result slices, warm-started from the previous solve's φ, with
+// λ′ cycling through 0.3–0.7 of saturation and station 4321 down on
+// every other op.
+func BenchmarkOptimizeDegradedN10k(b *testing.B) {
+	g := signatureFleet(b, 10000)
+	fleet, err := core.NewFleet(g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sat := g.MaxGenericRate()
+	fracs := []float64{0.3, 0.4, 0.5, 0.6, 0.7}
+	down := make([]bool, g.N())
+	for i := range down {
+		down[i] = true
+	}
+	down[4321] = false
+	opts := core.Options{Discipline: queueing.FCFS, Sparse: true, Parallel: true}
+	res, err := fleet.OptimizeDegraded(0.5*sat, nil, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var up []bool
+		if i%2 == 1 {
+			up = down
+		}
+		opts.WarmPhi = res.Phi
+		if res, err = fleet.OptimizeDegraded(fracs[i%len(fracs)]*sat, up, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkOptimizeN512Parallel measures the concurrent inner loop on
 // the same 512-server system as BenchmarkOptimizeN512FCFS.
 func BenchmarkOptimizeN512Parallel(b *testing.B) {

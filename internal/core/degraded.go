@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/model"
-	"repro/internal/numeric"
 )
 
 // DefaultAdmissionMargin is the stability headroom kept by admission
@@ -40,99 +39,60 @@ type DegradedResult struct {
 //
 // With every server up and no shedding required, the result is
 // identical to Optimize — the degraded path is a strict generalization,
-// guarded by the Table 1/2 regression tests.
+// guarded by the Table 1/2 regression tests. Like Optimize it indexes g
+// on every call; serve.Server keeps one Fleet for all its re-solves.
 func OptimizeDegraded(g *model.Group, lambda float64, up []bool, opts Options) (*DegradedResult, error) {
-	if err := g.Validate(); err != nil {
+	f, err := NewFleet(g)
+	if err != nil {
 		return nil, err
 	}
-	if up != nil && len(up) != g.N() {
-		return nil, fmt.Errorf("core: availability vector has %d entries for %d servers", len(up), g.N())
+	return f.OptimizeDegraded(lambda, up, opts)
+}
+
+// OptimizeDegraded re-solves over the stations up; see the free
+// OptimizeDegraded. The availability vector becomes per-class survivor
+// counts in one pass, so nothing is re-validated or re-clustered, and
+// the result is written straight into full-length vectors.
+func (f *Fleet) OptimizeDegraded(lambda float64, up []bool, opts Options) (*DegradedResult, error) {
+	if up != nil && len(up) != f.N() {
+		return nil, fmt.Errorf("core: availability vector has %d entries for %d servers", len(up), f.N())
 	}
 	if math.IsNaN(lambda) || lambda <= 0 {
 		return nil, fmt.Errorf("core: total generic rate λ′=%g must be positive", lambda)
 	}
-	idx := make([]int, 0, g.N())
-	for i := range g.Servers {
-		if up == nil || up[i] {
-			idx = append(idx, i)
-		}
-	}
-	if len(idx) == 0 {
+	counts, survivors := f.survivorCounts(up)
+	if survivors == 0 {
 		return nil, fmt.Errorf("core: no surviving servers")
 	}
-	sub := g
-	if len(idx) < g.N() {
-		servers := make([]model.Server, len(idx))
-		for k, i := range idx {
-			servers[k] = g.Servers[i]
-		}
-		sub = &model.Group{Servers: servers, TaskSize: g.TaskSize}
-		if err := sub.Validate(); err != nil {
-			return nil, fmt.Errorf("core: surviving subset invalid: %w", err)
-		}
+	solveUp := up
+	if survivors == f.N() {
+		solveUp = nil // all up: the plain solve's path
 	}
 
 	// Admission control: cap λ′ below the survivors' (possibly
 	// utilization-capped) saturation point instead of failing.
-	capacity := sub.MaxGenericRate()
-	if opts.MaxUtilization > 0 && opts.MaxUtilization < 1 {
-		var capTotal numeric.KahanSum
-		for _, s := range sub.Servers {
-			if r := opts.MaxUtilization*s.Capacity(sub.TaskSize) - s.SpecialRate; r > 0 {
-				capTotal.Add(r)
-			}
-		}
-		capacity = capTotal.Value()
-	}
-	if capacity <= 0 {
+	ceiling := f.ceiling(counts, opts)
+	if ceiling <= 0 {
 		return nil, fmt.Errorf("core: surviving servers have no generic capacity")
 	}
 	admitted, shed := lambda, 0.0
-	if ceiling := (1 - DefaultAdmissionMargin) * capacity; lambda >= ceiling {
+	if lambda >= ceiling {
 		admitted = ceiling
 		shed = lambda - admitted
 	}
 
-	res, err := Optimize(sub, admitted, opts)
+	res, err := f.solve(admitted, solveUp, counts, opts)
 	if err != nil {
 		return nil, err
 	}
 	out := &DegradedResult{
 		Result:    *res,
-		Survivors: len(idx),
+		Survivors: survivors,
 		Admitted:  admitted,
 		Shed:      shed,
 	}
 	if up != nil {
 		out.Up = append([]bool(nil), up...)
-	}
-	if len(idx) < g.N() {
-		if res.Sparse != nil {
-			// Remap the compact allocation's survivor-local indices back
-			// to full-fleet station numbers (ascending in, ascending out).
-			sp := &SparseRates{
-				N:     g.N(),
-				Index: make([]int32, len(res.Sparse.Index)),
-				Rate:  append([]float64(nil), res.Sparse.Rate...),
-			}
-			for k, si := range res.Sparse.Index {
-				sp.Index[k] = int32(idx[si])
-			}
-			out.Sparse = sp
-		}
-		if res.Rates != nil {
-			// Expand to full-length vectors; down servers carry no generic
-			// load and report zero utilization/response time.
-			rates := make([]float64, g.N())
-			utils := make([]float64, g.N())
-			resps := make([]float64, g.N())
-			for k, i := range idx {
-				rates[i] = res.Rates[k]
-				utils[i] = res.Utilizations[k]
-				resps[i] = res.ResponseTimes[k]
-			}
-			out.Rates, out.Utilizations, out.ResponseTimes = rates, utils, resps
-		}
 	}
 	return out, nil
 }

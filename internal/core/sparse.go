@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -29,10 +31,13 @@ import (
 //     and pruned classes pay no kernel evaluation at all. As the outer
 //     doubling raises φ the active prefix only grows.
 //
-// F(φ) is totalled in station order with the same compensated
-// summation as the dense path, so the outer bisection takes the
-// bit-identical φ trajectory and the whole solve is bit-identical to
-// Optimize without Sparse (pinned by TestSparseMatchesDenseBitIdentical).
+// F(φ) and every other total of the φ search is summed exactly
+// (numeric.ExactSum), a class of n_c survivors contributing n_c·λ′_c in
+// one AddMul. A correctly rounded sum has no order, so it is the same
+// float as the dense path's exact sum over stations: the outer search
+// takes the bit-identical φ trajectory and the whole solve is
+// bit-identical to the dense one (pinned by
+// TestSparseMatchesDenseBitIdentical), without walking the stations.
 
 // SparseRates is a compact allocation over a fleet: the stations with
 // strictly positive generic rate, in ascending station order. It is
@@ -75,92 +80,59 @@ func (s *SparseRates) ForEach(fn func(station int, rate float64)) {
 	}
 }
 
-// sparseClass is one equivalence class of stations: the shared inner
-// solver, how many stations it stands for, and the pruning key.
+// sparseClass is one class with survivors, as one solve sees it: the
+// shared inner solver, how many surviving stations it stands for, and
+// the pruning key.
 type sparseClass struct {
 	rep    model.Server
 	solver stationSolver
-	count  int
-	first  int32 // lowest member station index (deterministic tie-break)
+	count  int   // surviving members
+	id     int32 // the Fleet's class index (deterministic tie-break)
 	// mc0 is the idle marginal cost MC(0); +Inf when special load (or
 	// the utilization cap) leaves no generic headroom, so such classes
 	// sort to the end and are never solved.
 	mc0 float64
 }
 
-// sparseFleet is the solve-time state of the sparse path: classes
-// sorted by MC(0), the station→class map, and the per-probe scratch.
+// sparseFleet is the solve-time state of the sparse path: the classes
+// with survivors sorted by MC(0), and the per-probe scratch.
 type sparseFleet struct {
-	g      *model.Group
+	f      *Fleet
 	opts   Options
 	lambda float64
 	eps    float64
 	rhoCap float64
 
 	classes []sparseClass
-	classOf []int32   // station index → class index (post-sorting)
 	scratch []float64 // per-class rates at the most recent probe
 }
 
-// newSparseFleet clusters the group into classes, builds one solver per
-// class, and sorts classes by idle marginal cost for threshold pruning.
-func newSparseFleet(g *model.Group, lambda float64, opts Options, eps, rhoCap float64) *sparseFleet {
-	type ckey struct {
-		size           int
-		speed, special uint64
-	}
-	n := g.N()
-	byKey := make(map[ckey]int32, 64)
-	classes := make([]sparseClass, 0, 64)
-	tmpOf := make([]int32, n)
-	for i, s := range g.Servers {
-		k := ckey{s.Size, math.Float64bits(s.Speed), math.Float64bits(s.SpecialRate)}
-		ci, ok := byKey[k]
-		if !ok {
-			ci = int32(len(classes))
-			byKey[k] = ci
-			classes = append(classes, sparseClass{rep: s, first: int32(i)})
+// newSparseFleet builds one solver per class with survivors (counts,
+// indexed like the Fleet's classes) and sorts the classes by idle
+// marginal cost for threshold pruning. The solvers depend on λ′, so
+// they are built per solve; the clustering is the Fleet's.
+func newSparseFleet(f *Fleet, counts []int, lambda float64, opts Options, eps, rhoCap float64) *sparseFleet {
+	classes := make([]sparseClass, 0, len(f.classes))
+	for c := range f.classes {
+		if counts[c] == 0 {
+			continue
 		}
-		classes[ci].count++
-		tmpOf[i] = ci
-	}
-	for ci := range classes {
-		cl := &classes[ci]
-		cl.solver = newStationSolver(cl.rep, g.TaskSize, lambda, opts.Discipline, eps, rhoCap)
+		rep := f.classes[c].rep
+		cl := sparseClass{rep: rep, count: counts[c], id: int32(c)}
+		cl.solver = newStationSolver(rep, f.g.TaskSize, lambda, opts.Discipline, eps, rhoCap)
 		cl.mc0 = cl.solver.mc0
+		classes = append(classes, cl)
 	}
-	// Sort by MC(0) ascending (ties broken by first member index so the
-	// ordering is deterministic); remap the station→class table through
-	// the permutation.
-	perm := make([]int32, len(classes))
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	sort.SliceStable(perm, func(a, b int) bool {
-		ca, cb := &classes[perm[a]], &classes[perm[b]]
-		if ca.mc0 < cb.mc0 {
-			return true
+	slices.SortFunc(classes, func(a, b sparseClass) int {
+		if c := cmp.Compare(a.mc0, b.mc0); c != 0 {
+			return c
 		}
-		if cb.mc0 < ca.mc0 {
-			return false
-		}
-		return ca.first < cb.first
+		return cmp.Compare(a.id, b.id)
 	})
-	sorted := make([]sparseClass, len(classes))
-	inv := make([]int32, len(classes))
-	for newIdx, old := range perm {
-		sorted[newIdx] = classes[old]
-		inv[old] = int32(newIdx)
-	}
-	classOf := make([]int32, n)
-	for i, ci := range tmpOf {
-		classOf[i] = inv[ci]
-	}
 	return &sparseFleet{
-		g: g, opts: opts, lambda: lambda, eps: eps, rhoCap: rhoCap,
-		classes: sorted,
-		classOf: classOf,
-		scratch: make([]float64, len(sorted)),
+		f: f, opts: opts, lambda: lambda, eps: eps, rhoCap: rhoCap,
+		classes: classes,
+		scratch: make([]float64, len(classes)),
 	}
 }
 
@@ -168,7 +140,7 @@ func newSparseFleet(g *model.Group, lambda float64, opts Options, eps, rhoCap fl
 func (sf *sparseFleet) solveClass(c int, phi float64) float64 {
 	cl := &sf.classes[c]
 	if sf.opts.PureBisection {
-		return FindRateLimited(cl.rep, sf.g.TaskSize, sf.lambda, phi, sf.opts.Discipline, sf.eps, sf.rhoCap)
+		return FindRateLimited(cl.rep, sf.f.g.TaskSize, sf.lambda, phi, sf.opts.Discipline, sf.eps, sf.rhoCap)
 	}
 	return cl.solver.findRate(phi)
 }
@@ -176,9 +148,10 @@ func (sf *sparseFleet) solveClass(c int, phi float64) float64 {
 // ratesAt evaluates F(φ) and F′(φ): the active prefix of classes
 // (MC(0) ≤ φ) is solved — sequentially or chunked over goroutines — the
 // pruned suffix is zeroed without any evaluation, and both totals are
-// compensated in station order so they are bit-identical to the dense
-// path's sums. A class with MC(0) = φ exactly carries no rate but still
-// contributes its right-derivative to F′, so it is solved too.
+// summed exactly over the active classes, count × rate, so they are
+// bit-identical to the dense path's sums over stations. A class with
+// MC(0) = φ exactly carries no rate but still contributes its
+// right-derivative to F′, so it is solved too.
 func (sf *sparseFleet) ratesAt(phi float64) (float64, float64) {
 	active := sort.Search(len(sf.classes), func(i int) bool { return sf.classes[i].mc0 > phi })
 	rates := sf.scratch
@@ -216,24 +189,23 @@ func (sf *sparseFleet) ratesAt(phi float64) (float64, float64) {
 			rates[c] = sf.solveClass(c, phi)
 		}
 	}
-	var sum, slope numeric.KahanSum
-	for _, ci := range sf.classOf {
-		sum.Add(rates[ci])
-		if d := sf.classes[ci].solver.dlam; d > 0 {
-			slope.Add(d)
+	var sum, slope numeric.ExactSum
+	for c := 0; c < active; c++ {
+		cl := &sf.classes[c]
+		sum.AddMul(cl.count, rates[c])
+		if d := cl.solver.dlam; d > 0 {
+			slope.AddMul(cl.count, d)
 		}
 	}
 	return sum.Value(), slope.Value()
 }
 
-// totalOf sums a class-rate vector over stations in station order with
-// the same compensated accumulation as the dense path. Pruned classes
-// contribute exact zeros, which leave a Kahan accumulator untouched, so
-// the sum equals the dense path's bit for bit.
+// totalOf sums a class-rate vector exactly, count × rate per class: the
+// same float as the dense path's exact sum over stations.
 func (sf *sparseFleet) totalOf(classRates []float64) float64 {
-	var sum numeric.KahanSum
-	for _, ci := range sf.classOf {
-		sum.Add(classRates[ci])
+	var sum numeric.ExactSum
+	for c := range sf.classes {
+		sum.AddMul(sf.classes[c].count, classRates[c])
 	}
 	return sum.Value()
 }
@@ -247,7 +219,7 @@ func (sf *sparseFleet) feasible(classRates []float64) error {
 		if r < 0 || math.IsNaN(r) {
 			return fmt.Errorf("core: class %d rate %g must be non-negative", c, r)
 		}
-		if rho := sf.classes[c].rep.Utilization(r, sf.g.TaskSize); rho >= 1 {
+		if rho := sf.classes[c].rep.Utilization(r, sf.f.g.TaskSize); rho >= 1 {
 			return fmt.Errorf("core: class %d unstable at λ′=%g (ρ=%g)", c, r, rho)
 		}
 	}
@@ -271,7 +243,7 @@ func (sf *sparseFleet) avgResponseTime(classRates []float64) float64 {
 		if r == 0 { //bladelint:allow floateq -- exact zero rate contributes nothing and would divide by zero below
 			continue
 		}
-		t := sf.classes[c].rep.GenericResponseTime(sf.opts.Discipline, r, sf.g.TaskSize)
+		t := sf.classes[c].rep.GenericResponseTime(sf.opts.Discipline, r, sf.f.g.TaskSize)
 		if math.IsInf(t, 1) {
 			return math.Inf(1)
 		}
@@ -281,30 +253,30 @@ func (sf *sparseFleet) avgResponseTime(classRates []float64) float64 {
 }
 
 // result freezes the solved class rates into a Result: always the
-// compact (station, rate) form, plus the dense slices unless the caller
-// opted out with CompactResult. ρ_i and T′_i are functions of a
-// station's signature and rate alone, so each is evaluated once per
-// class and fanned out to the members, and T′ is totalled from them by
-// model.MeanResponseTime, as on the dense path: every field is
+// compact (station, rate) form over fleet station indices, plus the
+// dense slices unless the caller opted out with CompactResult. ρ_i and
+// T′_i are functions of a station's signature and rate alone, so each
+// is evaluated once per class and fanned out to the surviving members;
+// a down station (up[i] false) keeps zero rate, utilization and
+// response time. T′ is totalled from the fanned-out slices by
+// model.MeanResponseTime, as on the dense path, so every field is
 // bit-identical to the dense path's.
-func (sf *sparseFleet) result(classRates []float64, phi float64) *Result {
-	n := sf.g.N()
+func (sf *sparseFleet) result(classRates []float64, phi float64, up []bool) *Result {
+	f := sf.f
+	n := f.N()
+	// The rate of each Fleet class; zero for a class without survivors.
+	rateOf := make([]float64, len(f.classes))
 	nnz := 0
-	for _, ci := range sf.classOf {
-		if classRates[ci] > 0 {
-			nnz++
+	for c := range sf.classes {
+		rateOf[sf.classes[c].id] = classRates[c]
+		if classRates[c] > 0 {
+			nnz += sf.classes[c].count
 		}
 	}
 	sp := &SparseRates{
 		N:     n,
 		Index: make([]int32, 0, nnz),
 		Rate:  make([]float64, 0, nnz),
-	}
-	for i, ci := range sf.classOf {
-		if r := classRates[ci]; r > 0 {
-			sp.Index = append(sp.Index, int32(i))
-			sp.Rate = append(sp.Rate, r)
-		}
 	}
 	res := &Result{
 		Phi:        phi,
@@ -314,23 +286,37 @@ func (sf *sparseFleet) result(classRates []float64, phi float64) *Result {
 		Classes:    len(sf.classes),
 	}
 	if sf.opts.CompactResult {
+		for i, c := range f.classOf {
+			if r := rateOf[c]; r > 0 && (up == nil || up[i]) {
+				sp.Index = append(sp.Index, int32(i))
+				sp.Rate = append(sp.Rate, r)
+			}
+		}
 		res.AvgResponseTime = sf.avgResponseTime(classRates)
 		return res
 	}
-	classUtil := make([]float64, len(sf.classes))
-	classResp := make([]float64, len(sf.classes))
+	utilOf := make([]float64, len(f.classes))
+	respOf := make([]float64, len(f.classes))
 	for c := range sf.classes {
-		rep := sf.classes[c].rep
-		classUtil[c] = rep.Utilization(classRates[c], sf.g.TaskSize)
-		classResp[c] = rep.GenericResponseTime(sf.opts.Discipline, classRates[c], sf.g.TaskSize)
+		id, rep := sf.classes[c].id, sf.classes[c].rep
+		utilOf[id] = rep.Utilization(classRates[c], f.g.TaskSize)
+		respOf[id] = rep.GenericResponseTime(sf.opts.Discipline, classRates[c], f.g.TaskSize)
 	}
 	res.Rates = make([]float64, n)
 	res.Utilizations = make([]float64, n)
 	res.ResponseTimes = make([]float64, n)
-	for i, ci := range sf.classOf {
-		res.Rates[i] = classRates[ci]
-		res.Utilizations[i] = classUtil[ci]
-		res.ResponseTimes[i] = classResp[ci]
+	for i, c := range f.classOf {
+		if up != nil && !up[i] {
+			continue
+		}
+		r := rateOf[c]
+		res.Rates[i] = r
+		res.Utilizations[i] = utilOf[c]
+		res.ResponseTimes[i] = respOf[c]
+		if r > 0 {
+			sp.Index = append(sp.Index, int32(i))
+			sp.Rate = append(sp.Rate, r)
+		}
 	}
 	res.AvgResponseTime = model.MeanResponseTime(res.Rates, res.ResponseTimes)
 	return res
@@ -340,18 +326,17 @@ func (sf *sparseFleet) result(classRates []float64, phi float64) *Result {
 // entry points are the classes' MC(0), already ascending: one per class
 // where the dense path lists every member, which the search cannot
 // tell apart since it only looks up the nearest entry below φ. Σ λ′_max,i
-// is accumulated in station order like the dense path's.
+// is summed exactly, count × λ′_max per class.
 func (sf *sparseFleet) evaluator() phiEvaluator {
-	var maxRate numeric.KahanSum
-	for _, ci := range sf.classOf {
-		if r := sf.classes[ci].solver.maxRate; r > 0 {
-			maxRate.Add(r)
-		}
-	}
+	var maxRate numeric.ExactSum
 	entries := make([]float64, 0, len(sf.classes))
 	for c := range sf.classes {
-		if mc0 := sf.classes[c].mc0; !math.IsInf(mc0, 1) {
-			entries = append(entries, mc0)
+		cl := &sf.classes[c]
+		if r := cl.solver.maxRate; r > 0 {
+			maxRate.AddMul(cl.count, r)
+		}
+		if !math.IsInf(cl.mc0, 1) {
+			entries = append(entries, cl.mc0)
 		}
 	}
 	return phiEvaluator{
@@ -364,21 +349,21 @@ func (sf *sparseFleet) evaluator() phiEvaluator {
 	}
 }
 
-// optimizeSparse is Optimize's fleet-scale body: the identical outer
-// search driven over class-indexed rate vectors. Validation and the
-// utilization-cap headroom check already ran in Optimize. The segment
-// repair interpolates per class and re-totals in station order, so it
-// too stays bit-identical to the dense path.
-func optimizeSparse(g *model.Group, lambda float64, opts Options, eps, rhoCap float64) (*Result, error) {
-	fleet := newSparseFleet(g, lambda, opts, eps, rhoCap)
-	sol, err := searchPhi(fleet.evaluator(), lambda, eps, opts)
+// solveSparse is the fleet-scale body of every solve: the identical
+// outer search driven over class-indexed rate vectors, for the classes
+// with survivors (counts). Validation and the headroom checks already
+// ran in solve. The segment repair interpolates per class and re-totals
+// exactly, so it too stays bit-identical to the dense path.
+func (f *Fleet) solveSparse(lambda float64, up []bool, counts []int, opts Options, eps, rhoCap float64) (*Result, error) {
+	sf := newSparseFleet(f, counts, lambda, opts, eps, rhoCap)
+	sol, err := searchPhi(sf.evaluator(), lambda, eps, opts)
 	if err != nil {
 		return nil, fmt.Errorf("core: failed to bracket φ: %w", err)
 	}
-	res := fleet.result(sol.Rates, sol.Phi)
+	res := sf.result(sol.Rates, sol.Phi, up)
 	res.cost.evals = sol.Evals
-	for c := range fleet.classes {
-		res.cost.kernelCalls += fleet.classes[c].solver.calls
+	for c := range sf.classes {
+		res.cost.kernelCalls += sf.classes[c].solver.calls
 	}
 	return res, nil
 }

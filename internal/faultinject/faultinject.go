@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sync/atomic"
 	"time"
@@ -291,6 +292,11 @@ func (in *Injector) AdminHandler() http.Handler {
 		}
 		if req.Reset {
 			err = in.Clear(req.Station)
+		} else if req.ExtraLatencyMS < 0 || req.ExtraLatencyMS*float64(time.Millisecond) >= math.MaxInt64 {
+			// A latency a time.Duration cannot hold would convert to an
+			// implementation-defined value; refuse it instead.
+			err = fmt.Errorf("faultinject: extra_latency_ms %g outside [0, %.6g)",
+				req.ExtraLatencyMS, math.MaxInt64/float64(time.Millisecond))
 		} else {
 			err = in.Set(req.Station, Fault{
 				ErrorRate:    req.ErrorRate,

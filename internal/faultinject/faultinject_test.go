@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -245,4 +246,102 @@ func TestExtraLatencyInflatesCalls(t *testing.T) {
 	if d := time.Since(start); d < 21*time.Millisecond {
 		t.Fatalf("inflated call took %v, want ≥ 21ms", d)
 	}
+}
+
+// TestAdminHandlerLatencyRange pins the range check on
+// extra_latency_ms: a latency a time.Duration holds is set, and one it
+// cannot hold is refused with 400 naming the range, where converting
+// it used to yield a negative duration.
+func TestAdminHandlerLatencyRange(t *testing.T) {
+	in, err := New(Config{Stations: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := in.AdminHandler()
+	for _, tc := range []struct {
+		ms     string
+		status int
+	}{
+		{"9.2e12", http.StatusAccepted},
+		{"9.3e12", http.StatusBadRequest},
+		{"1e300", http.StatusBadRequest},
+		{"-1", http.StatusBadRequest},
+	} {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/", strings.NewReader(`{"station": 1, "extra_latency_ms": `+tc.ms+`}`)))
+		if w.Code != tc.status {
+			t.Errorf("extra_latency_ms %s: status %d, want %d: %s", tc.ms, w.Code, tc.status, w.Body)
+			continue
+		}
+		if tc.status == http.StatusBadRequest {
+			if !strings.Contains(w.Body.String(), "outside [0, 9.22337e+12)") {
+				t.Errorf("extra_latency_ms %s: error %s does not name the range", tc.ms, w.Body)
+			}
+			if got := in.Get(1); got.ExtraLatency != 9.2e18 {
+				t.Errorf("extra_latency_ms %s changed the fault to %+v", tc.ms, got)
+			}
+		} else if got := in.Get(1).ExtraLatency; got != 9.2e18 {
+			t.Errorf("extra_latency_ms %s: set %v", tc.ms, got)
+		}
+	}
+}
+
+// FuzzAdminHandler drives the fault-injection hook with arbitrary
+// methods and bodies. It must never panic and answer only 200, 202,
+// 400 or 405; a 202 must echo exactly the fault Get then returns, and a
+// 400 must leave every station's fault as it was.
+func FuzzAdminHandler(f *testing.F) {
+	f.Add("POST", []byte(`{"station": 1, "error_rate": 0.5, "extra_latency_ms": 12.5, "blackhole": true}`))
+	f.Add("POST", []byte(`{"station": 2, "reset": true}`))
+	f.Add("POST", []byte(`{"station": 0, "extra_latency_ms": 9.3e12}`))
+	f.Add("POST", []byte(`{"station": 3, "extra_latency_ms": 1e300}`))
+	f.Add("POST", []byte(`{"station": -1}`))
+	f.Add("POST", []byte(`{"station": 1, "error_rate": 2}`))
+	f.Add("POST", []byte(`not json`))
+	f.Add("GET", []byte(nil))
+	f.Add("DELETE", []byte(`{}`))
+	f.Fuzz(func(t *testing.T, method string, body []byte) {
+		const n = 4
+		in, err := New(Config{Stations: n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			if err := in.Set(i, Fault{ErrorRate: 0.25 * float64(i), ExtraLatency: time.Duration(i) * time.Millisecond}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := make([]Fault, n)
+		for i := range before {
+			before[i] = in.Get(i)
+		}
+		r := httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(body))
+		r.Method = method
+		w := httptest.NewRecorder()
+		in.AdminHandler().ServeHTTP(w, r)
+		switch w.Code {
+		case http.StatusOK:
+		case http.StatusAccepted:
+			var req faultRequest
+			if err := json.Unmarshal(body, &req); err != nil {
+				t.Fatalf("202 for a body that does not decode: %v", err)
+			}
+			var echoed Fault
+			if err := json.Unmarshal(w.Body.Bytes(), &echoed); err != nil {
+				t.Fatalf("202 body %q: %v", w.Body, err)
+			}
+			if got := in.Get(req.Station); got != echoed {
+				t.Fatalf("202 echoed %+v, Get returns %+v", echoed, got)
+			}
+		case http.StatusBadRequest:
+			for i := range before {
+				if got := in.Get(i); got != before[i] {
+					t.Fatalf("400 changed station %d from %+v to %+v", i, before[i], got)
+				}
+			}
+		case http.StatusMethodNotAllowed:
+		default:
+			t.Fatalf("%q %q: status %d: %s", method, body, w.Code, w.Body)
+		}
+	})
 }

@@ -214,16 +214,11 @@ func (p *Plan) appendJSON(b []byte, enc *bodyEncoder) []byte {
 	return append(b, '}')
 }
 
-// appendJSON appends the health view as encoding/json marshals it.
+// appendJSON appends the health view as encoding/json marshals it. The
+// daemon's handlers stream the same body from live state
+// (Server.appendHealth); this form serves the tests' oracle.
 func (hs *HealthState) appendJSON(b []byte, enc *bodyEncoder) []byte {
-	// As in Plan.appendJSON; a station's entry is some 118 bytes.
-	b = slices.Grow(b, 64+128*len(hs.Stations))
-	b = append(b, `{"up":`...)
-	b = appendBools(b, hs.Up)
-	b = append(b, `,"estimate":`...)
-	b = enc.float(b, hs.Estimate)
-	b = append(b, `,"warm":`...)
-	b = strconv.AppendBool(b, hs.Warm)
+	b = appendHealthHead(b, enc, hs.Up, hs.Estimate, hs.Warm, len(hs.Stations))
 	if len(hs.Stations) > 0 {
 		b = append(b, `,"stations":[`...)
 		for i := range hs.Stations {
@@ -235,6 +230,19 @@ func (hs *HealthState) appendJSON(b []byte, enc *bodyEncoder) []byte {
 		b = append(b, ']')
 	}
 	return append(b, '}')
+}
+
+// appendHealthHead opens a health body with its fields before the
+// stations' blocks, reserving room for n of them.
+func appendHealthHead(b []byte, enc *bodyEncoder, up []bool, estimate float64, warm bool, n int) []byte {
+	// As in Plan.appendJSON; a station's entry is some 118 bytes.
+	b = slices.Grow(b, 64+128*n)
+	b = append(b, `{"up":`...)
+	b = appendBools(b, up)
+	b = append(b, `,"estimate":`...)
+	b = enc.float(b, estimate)
+	b = append(b, `,"warm":`...)
+	return strconv.AppendBool(b, warm)
 }
 
 func (sh *StationHealth) appendJSON(b []byte, enc *bodyEncoder) []byte {

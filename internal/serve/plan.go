@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dispatch"
-	"repro/internal/model"
 )
 
 // Plan is an immutable routing plan: one solve of the paper's optimal
@@ -38,7 +37,9 @@ type Plan struct {
 	Survivors int `json:"survivors"`
 	// Capacity is the admission ceiling: the λ′ at which some surviving
 	// station would be pushed to ρ_i ≥ 1 (less the solver's stability
-	// margin). Requests estimated beyond it are shed with 503s.
+	// margin), exactly the ceiling the solve's admission control
+	// applied (core.Fleet.AdmissionCeiling). Requests estimated beyond
+	// it are shed with 503s.
 	Capacity float64 `json:"capacity"`
 	// Admitted and Shed report degraded-mode admission control: when
 	// the requested λ′ exceeded Capacity the solve distributed Admitted
@@ -94,13 +95,13 @@ func (p *Plan) PickU(u float64) int {
 // generic capacity m_i·s_i/r̄ − λ″_i, ramp-scaled during capped-weight
 // recovery so a readmitted station also loses JSQ comparisons until
 // its ramp completes.
-func buildPlan(g *model.Group, lambda float64, up []bool, opts core.Options, version int64, now time.Time, ramp []float64, jsqD int, depths *depthSet) (*Plan, error) {
+func buildPlan(fleet *core.Fleet, lambda float64, up []bool, opts core.Options, version int64, now time.Time, ramp []float64, jsqD int, depths *depthSet) (*Plan, error) {
 	// The plan's JSON view and the breaker bookkeeping are dense, so a
 	// sparse solve must still materialize Rates/Utilizations here; the
 	// compact allocation is used below for the picker's cumulative
 	// table instead.
 	opts.CompactResult = false
-	res, err := core.OptimizeDegraded(g, lambda, up, opts)
+	res, err := fleet.OptimizeDegraded(lambda, up, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -153,6 +154,7 @@ func buildPlan(g *model.Group, lambda float64, up []bool, opts core.Options, ver
 	var jsq *dispatch.PowerOfD
 	policy := "static"
 	if jsqD > 0 {
+		g := fleet.Group()
 		idx := make([]int32, 0, len(rates))
 		caps := make([]float64, 0, len(rates))
 		for i, r := range rates {
@@ -184,7 +186,7 @@ func buildPlan(g *model.Group, lambda float64, up []bool, opts core.Options, ver
 		Utilizations:    utils,
 		Up:              res.Up,
 		Survivors:       res.Survivors,
-		Capacity:        admissionCeiling(g, up, opts),
+		Capacity:        fleet.AdmissionCeiling(up, opts),
 		Admitted:        res.Admitted,
 		Shed:            res.Shed,
 		SolvedAt:        now,
@@ -193,25 +195,4 @@ func buildPlan(g *model.Group, lambda float64, up []bool, opts core.Options, ver
 		picker:          picker,
 		jsq:             jsq,
 	}, nil
-}
-
-// admissionCeiling is the total generic rate beyond which some
-// surviving station would be pushed to ρ_i ≥ 1, less the stability
-// margin — the same cap core.OptimizeDegraded's admission control
-// applies, honoring Options.MaxUtilization when set.
-func admissionCeiling(g *model.Group, up []bool, opts core.Options) float64 {
-	rhoCap := 1.0
-	if opts.MaxUtilization > 0 && opts.MaxUtilization < 1 {
-		rhoCap = opts.MaxUtilization
-	}
-	total := 0.0
-	for i, s := range g.Servers {
-		if up != nil && i < len(up) && !up[i] {
-			continue
-		}
-		if r := rhoCap*s.Capacity(g.TaskSize) - s.SpecialRate; r > 0 {
-			total += r
-		}
-	}
-	return (1 - core.DefaultAdmissionMargin) * total
 }

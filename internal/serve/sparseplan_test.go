@@ -37,11 +37,11 @@ func TestBuildPlanSparsePickerMatchesDense(t *testing.T) {
 	}
 	lambda := 0.05 * g.MaxGenericRate()
 	now := time.Unix(1700000000, 0)
-	densePlan, err := buildPlan(g, lambda, nil, core.Options{}, 1, now, nil, 0, nil)
+	densePlan, err := buildPlan(mustFleet(t, g), lambda, nil, core.Options{}, 1, now, nil, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sparsePlan, err := buildPlan(g, lambda, nil, core.Options{Sparse: true}, 1, now, nil, 0, nil)
+	sparsePlan, err := buildPlan(mustFleet(t, g), lambda, nil, core.Options{Sparse: true}, 1, now, nil, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestBuildPlanSparseWithRampFallsBackDense(t *testing.T) {
 	}
 	ramp[0] = 0.25 // station 0 ramping back in at a quarter share
 	now := time.Unix(1700000000, 0)
-	plan, err := buildPlan(g, lambda, nil, core.Options{Sparse: true}, 1, now, ramp, 0, nil)
+	plan, err := buildPlan(mustFleet(t, g), lambda, nil, core.Options{Sparse: true}, 1, now, ramp, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestBuildPlanSparseWithRampFallsBackDense(t *testing.T) {
 	}
 	// At 0.4×saturation every station carries load; the ramped station's
 	// share must be strictly below its unramped optimum.
-	unramped, err := buildPlan(g, lambda, nil, core.Options{Sparse: true}, 1, now, nil, 0, nil)
+	unramped, err := buildPlan(mustFleet(t, g), lambda, nil, core.Options{Sparse: true}, 1, now, nil, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,4 +109,13 @@ func TestBuildPlanSparseWithRampFallsBackDense(t *testing.T) {
 	if got, want := picks(plan), picks(unramped); got >= want {
 		t.Errorf("ramped plan picked station 0 %d times, unramped %d", got, want)
 	}
+}
+
+func mustFleet(t testing.TB, g *model.Group) *core.Fleet {
+	t.Helper()
+	f, err := core.NewFleet(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
 }
