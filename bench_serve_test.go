@@ -196,8 +196,8 @@ func BenchmarkHandlerDispatch(b *testing.B) {
 	benchHandler(b, s.Handler(), http.MethodPost, "/v1/dispatch", "", http.StatusOK)
 }
 
-// newFleetServer serves the 10,000-station signatureFleet with the
-// sparse solver, as bladed -sparse does, at half saturation.
+// newFleetServer serves the 10,000-station signatureFleet at half
+// saturation.
 func newFleetServer(b *testing.B, breaker serve.BreakerConfig) (*serve.Server, float64) {
 	b.Helper()
 	g := signatureFleet(b, 10000)
@@ -205,7 +205,7 @@ func newFleetServer(b *testing.B, breaker serve.BreakerConfig) (*serve.Server, f
 	s, err := serve.New(serve.Config{
 		Group:   g,
 		Lambda:  lambda,
-		Opts:    core.Options{Discipline: queueing.FCFS, Sparse: true, Parallel: true},
+		Opts:    core.Options{Discipline: queueing.FCFS},
 		Breaker: breaker,
 		Logger:  slog.New(slog.NewTextHandler(io.Discard, nil)),
 	})

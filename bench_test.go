@@ -151,18 +151,18 @@ func BenchmarkOptimizeWarmDriftN7(b *testing.B) {
 	}
 }
 
-// --- Fleet-scale solves: the sparse path (class clustering +
-// marginal-cost pruning, DESIGN §14) on synthetic heterogeneous fleets.
-// The N10k series is the ROADMAP's "well under a second" target and is
-// gated in CI with an absolute time budget via bladebench -budget. ---
+// --- Fleet-scale solves: class clustering and marginal-cost pruning
+// (DESIGN §14) on synthetic heterogeneous fleets. The N10k series is
+// the ROADMAP's "well under a second" target and is gated in CI with an
+// absolute time budget via bladebench -budget. ---
 
-// benchOptimizeSparse solves a clustered fleet (signatureFleet) with
-// the sparse path.
+// benchOptimizeSparse solves a clustered fleet (signatureFleet) at frac
+// of saturation, optionally under a utilization cap.
 func benchOptimizeSparse(b *testing.B, n int, d queueing.Discipline, frac, rhoCap float64) {
 	b.Helper()
 	g := signatureFleet(b, n)
 	lambda := frac * g.MaxGenericRate()
-	opts := core.Options{Discipline: d, Sparse: true, CompactResult: true, MaxUtilization: rhoCap}
+	opts := core.Options{Discipline: d, MaxUtilization: rhoCap}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -191,18 +191,11 @@ func BenchmarkOptimizeN10kLowLoad(b *testing.B) {
 	benchOptimizeSparse(b, 10000, queueing.FCFS, 0.05, 0)
 }
 
-// BenchmarkOptimizeN10kDense is the dense baseline on the same fleet —
-// the cost the sparse path buys back.
-func BenchmarkOptimizeN10kDense(b *testing.B) {
-	benchOptimize(b, 10000, queueing.FCFS)
-}
-
 // BenchmarkOptimizeDegradedN10k is the solve behind each fleet re-plan,
 // made as serve's buildPlan makes it: the 10,000-station signatureFleet
-// indexed once by core.NewFleet, solved on the sparse path with the
-// dense result slices, warm-started from the previous solve's φ, with
-// λ′ cycling through 0.3–0.7 of saturation and station 4321 down on
-// every other op.
+// indexed once by core.NewFleet, warm-started from the previous solve's
+// φ, with λ′ cycling through 0.3–0.7 of saturation and station 4321
+// down on every other op.
 func BenchmarkOptimizeDegradedN10k(b *testing.B) {
 	g := signatureFleet(b, 10000)
 	fleet, err := core.NewFleet(g)
@@ -216,7 +209,7 @@ func BenchmarkOptimizeDegradedN10k(b *testing.B) {
 		down[i] = true
 	}
 	down[4321] = false
-	opts := core.Options{Discipline: queueing.FCFS, Sparse: true, Parallel: true}
+	opts := core.Options{Discipline: queueing.FCFS}
 	res, err := fleet.OptimizeDegraded(0.5*sat, nil, opts)
 	if err != nil {
 		b.Fatal(err)
@@ -230,29 +223,6 @@ func BenchmarkOptimizeDegradedN10k(b *testing.B) {
 		}
 		opts.WarmPhi = res.Phi
 		if res, err = fleet.OptimizeDegraded(fracs[i%len(fracs)]*sat, up, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkOptimizeN512Parallel measures the concurrent inner loop on
-// the same 512-server system as BenchmarkOptimizeN512FCFS.
-func BenchmarkOptimizeN512Parallel(b *testing.B) {
-	sizes := make([]int, 512)
-	speeds := make([]float64, 512)
-	for i := range sizes {
-		sizes[i] = 2 + 2*(i%8)
-		speeds[i] = 1.7 - 0.1*float64(i%7)
-	}
-	g, err := model.PaperGroup(sizes, speeds, 1.0, 0.3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	lambda := 0.5 * g.MaxGenericRate()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Optimize(g, lambda, core.Options{Discipline: queueing.FCFS, Parallel: true}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -14,8 +14,6 @@
 // /v1/plan, GET|POST /v1/health, POST /v1/observe, GET /metrics
 // (Prometheus text), GET /healthz, /debug/pprof, and — with
 // -fault-admin — GET|POST /v1/faults. SIGINT/SIGTERM drain gracefully.
-// In router mode -batch N additionally coalesces concurrent single-shot
-// dispatches into shared batched hot-path passes (see -batch-linger).
 //
 // Chaos mode: -backend-delay simulates executing each dispatched
 // request against its station (enabling the guarded dispatch wrapper,
@@ -67,8 +65,6 @@ func run(args []string, ready chan<- string) error {
 	rate := fs.Float64("rate", 0, "planned total generic arrival rate λ′ (absolute)")
 	frac := fs.Float64("frac", 0.5, "λ′ as a fraction of the saturation point (used when -rate is 0)")
 	priority := fs.Bool("priority", false, "give special tasks non-preemptive priority (paper §4)")
-	sparse := fs.Bool("sparse", false,
-		"solve with class clustering and marginal-cost pruning (bit-identical rates; intended for fleet-scale specs)")
 	drift := fs.Float64("drift", 0.2, "relative arrival-rate drift that triggers a re-solve")
 	window := fs.Duration("window", 30*time.Second, "arrival-rate estimation window")
 	minResolve := fs.Duration("min-resolve", time.Second, "minimum interval between drift re-solves")
@@ -94,10 +90,6 @@ func run(args []string, ready chan<- string) error {
 	maxAttempts := fs.Int("max-attempts", 3, "backend attempts per request (first try included)")
 	retryBudget := fs.Float64("retry-budget", 0.1, "sustained retries-per-request ratio")
 	hedge := fs.Bool("hedge", false, "hedge a second backend attempt after the observed p95 (idempotent workloads only)")
-	batchMax := fs.Int("batch", 0,
-		"coalesce concurrent dispatches into one batched hot-path pass of up to this many decisions (router mode only; 0 disables)")
-	batchLinger := fs.Duration("batch-linger", 100*time.Microsecond,
-		"how long a coalesced batch leader waits for peers before dispatching short")
 	breakerOff := fs.Bool("breaker-off", false, "disable automatic circuit-breaker transitions")
 	breakerErr := fs.Float64("breaker-error-threshold", 0.5, "EWMA error rate that trips a station's breaker")
 	breakerOpen := fs.Duration("breaker-open", 5*time.Second, "initial open interval of a tripped breaker (doubles per reopen)")
@@ -174,7 +166,7 @@ func run(args []string, ready chan<- string) error {
 	cfg := serve.Config{
 		Group:              cluster,
 		Lambda:             lambda,
-		Opts:               core.Options{Discipline: d, Sparse: *sparse, Parallel: *sparse},
+		Opts:               core.Options{Discipline: d},
 		Names:              names,
 		DriftThreshold:     *drift,
 		Window:             *window,
@@ -186,8 +178,6 @@ func run(args []string, ready chan<- string) error {
 		DeterministicRNG:   *deterministic,
 		Policy:             dispatchPolicy,
 		SampleD:            jsqD,
-		BatchMax:           *batchMax,
-		BatchLinger:        *batchLinger,
 		Guard: serve.GuardConfig{
 			AttemptTimeout: *attemptTimeout,
 			MaxAttempts:    *maxAttempts,

@@ -103,6 +103,9 @@ func TestRunFlagValidation(t *testing.T) {
 		{"-builtin", "no-such-system:1"},     // unknown builtin
 		{"-example", "-addr", "256.0.0.1:x"}, // unusable listen address
 		{"-example", "-serialized"},          // retired flag: unknown
+		{"-example", "-sparse"},              // retired flag: unknown
+		{"-example", "-batch", "8"},          // retired flag: unknown
+		{"-example", "-batch-linger", "1ms"}, // retired flag: unknown
 	}
 	for _, args := range cases {
 		if err := run(args, nil); err == nil {

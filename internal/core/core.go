@@ -20,9 +20,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sort"
-	"sync"
 
 	"repro/internal/model"
 	"repro/internal/numeric"
@@ -52,11 +49,10 @@ type Options struct {
 	// servers at the bound and equalizes marginal costs among the
 	// rest, which is exactly what the clamped inner search produces.
 	MaxUtilization float64
-	// Parallel runs the per-server inner searches concurrently (one
-	// goroutine per server, bounded by GOMAXPROCS). The inner solves
-	// at a given φ are independent, so results are bit-identical to
-	// the sequential path; worthwhile from a few hundred servers up
-	// (see BenchmarkOptimizeN512Parallel).
+	// Parallel is ignored: every solve runs its inner searches in one
+	// goroutine.
+	//
+	// Deprecated: ignored.
 	Parallel bool
 	// WarmPhi, when positive, warm-starts the outer search for the
 	// Lagrange multiplier from a previous solve's Phi — the failover
@@ -74,20 +70,11 @@ type Options struct {
 	// (TestNewtonMatchesBisection, FuzzOptimizeNewton) and the faithful
 	// transcription for paper-fidelity ablations.
 	PureBisection bool
-	// Sparse enables the fleet-scale solve path: stations with an
-	// identical (size, speed, special-rate) signature are clustered
-	// into classes and each class's inner problem is solved once per φ
-	// probe, with classes whose idle marginal cost MC(0) is at least φ
-	// pruned without any kernel evaluation (their optimal rate is
-	// exactly zero — see DESIGN §14). The result is bit-identical to
-	// the dense path, pinned by TestSparseMatchesDenseBitIdentical.
+	// Sparse is ignored: every solve clusters the group into classes
+	// of identical stations (see Fleet).
+	//
+	// Deprecated: ignored.
 	Sparse bool
-	// CompactResult, meaningful only with Sparse, skips materializing
-	// the n-wide dense Rates/Utilizations/ResponseTimes slices: the
-	// allocation is returned only through Result.Sparse, and
-	// AvgResponseTime is computed per class. The fleet-scale fast path
-	// for callers that only need T′ or the compact allocation.
-	CompactResult bool
 }
 
 // DefaultEpsilon is the default bisection tolerance. It reproduces the
@@ -118,14 +105,11 @@ type Result struct {
 	Discipline queueing.Discipline
 	// TotalRate echoes λ′.
 	TotalRate float64
-	// Sparse is the compact (station, rate) form of the allocation,
-	// populated by the sparse solve path (Options.Sparse); nil on the
-	// dense path. With Options.CompactResult it is the only allocation
-	// representation returned.
+	// Sparse is the compact (station, rate) form of the allocation:
+	// the stations with positive rate, ascending.
 	Sparse *SparseRates
 	// Classes is the number of distinct (size, speed, special-rate)
-	// classes the sparse path clustered the fleet into; 0 on the dense
-	// path.
+	// classes with survivors that the solve ran over.
 	Classes int
 
 	cost solveCost
@@ -156,68 +140,6 @@ func Optimize(g *model.Group, lambda float64, opts Options) (*Result, error) {
 		return nil, err
 	}
 	return f.solve(lambda, nil, f.counts, opts)
-}
-
-// denseEvaluator wires a station-indexed solve into the outer search.
-// Each F(φ) probe runs solve for every station into one reused scratch
-// vector, optionally fanned out over goroutines. The per-station
-// solvers supply the slope terms, the entry points MC_i(0) and
-// Σ λ′_max,i; every total is summed exactly (numeric.ExactSum), so it
-// equals the sparse path's per-class totals bit for bit.
-func denseEvaluator(g *model.Group, solvers []stationSolver, parallel bool, solve func(i int, phi float64) float64) phiEvaluator {
-	n := g.N()
-	scratch := make([]float64, n)
-	slopes := make([]float64, n)
-	ev := phiEvaluator{
-		eval: func(phi float64) (float64, float64) {
-			workers := runtime.GOMAXPROCS(0)
-			if parallel && n > 1 && workers > 1 {
-				// Per-server solves are independent; fan out over
-				// contiguous chunks, then sum sequentially so the result
-				// is bit-identical to the sequential path. (Each solver's
-				// warm-start state is owned by exactly one chunk, and its
-				// evolution depends only on the per-server φ sequence, so
-				// parallel and sequential runs stay bit-identical too.)
-				if workers > n {
-					workers = n
-				}
-				var wg sync.WaitGroup
-				chunk := (n + workers - 1) / workers
-				for lo := 0; lo < n; lo += chunk {
-					hi := min(lo+chunk, n)
-					wg.Add(1)
-					go func(lo, hi int) {
-						defer wg.Done()
-						for i := lo; i < hi; i++ {
-							scratch[i] = solve(i, phi)
-						}
-					}(lo, hi)
-				}
-				wg.Wait()
-			} else {
-				for i := range scratch {
-					scratch[i] = solve(i, phi)
-				}
-			}
-			for i := range solvers {
-				slopes[i] = solvers[i].dlam // ≥ 0; a zero adds nothing
-			}
-			return numeric.SumExact(scratch), numeric.SumExact(slopes)
-		},
-		scratch:  scratch,
-		total:    numeric.SumExact,
-		feasible: g.Feasible,
-		entries:  make([]float64, 0, n),
-	}
-	for i := range solvers {
-		if mc0 := solvers[i].mc0; !math.IsInf(mc0, 1) {
-			ev.entries = append(ev.entries, mc0)
-		}
-		slopes[i] = max(solvers[i].maxRate, 0) // scratch until the first probe
-	}
-	sort.Float64s(ev.entries)
-	ev.maxRate = numeric.SumExact(slopes)
-	return ev
 }
 
 // FindRate implements the paper's Fig. 2 algorithm Find_λ′_i: the

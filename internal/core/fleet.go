@@ -11,9 +11,11 @@ import (
 // Fleet is a group indexed once for any number of solves: validated,
 // and clustered into classes of stations with an identical (size,
 // speed, special-rate) signature. Every solve in this package runs
-// through a Fleet; the free Optimize and OptimizeDegraded build one per
-// call, while a long-lived caller (serve.Server) builds one per daemon
-// and keeps it, so a re-plan neither re-validates nor re-clusters.
+// through a Fleet; the free Optimize, OptimizeDegraded and
+// OptimizeTotal build one per call, while a long-lived caller
+// (serve.Server) builds one per daemon and keeps it, so a re-plan
+// neither re-validates nor re-clusters. A group whose stations all
+// differ is its one-station-per-class case.
 //
 // A Fleet is immutable after NewFleet, so concurrent solves on one
 // Fleet are safe. It keeps the group it was built from, which must not
@@ -140,8 +142,10 @@ func (f *Fleet) ceiling(counts []int, opts Options) float64 {
 
 // solve is the one body behind every solve: the stations up (per up,
 // with counts their per-class tally) at total rate λ′. It checks what
-// Optimize promises to reject, then runs the dense or the sparse
-// evaluator under the outer φ search.
+// Optimize promises to reject, then runs the class evaluator under the
+// outer φ search: one Newton inner solver per class with survivors, or
+// the paper's bisection (FindRateLimited) on each class's
+// representative under PureBisection.
 func (f *Fleet) solve(lambda float64, up []bool, counts []int, opts Options) (*Result, error) {
 	if !opts.Discipline.Valid() {
 		return nil, fmt.Errorf("core: unknown discipline %d", int(opts.Discipline))
@@ -166,69 +170,24 @@ func (f *Fleet) solve(lambda float64, up []bool, counts []int, opts Options) (*R
 		}
 	}
 	eps := opts.epsilon()
-	if opts.Sparse {
-		return f.solveSparse(lambda, up, counts, opts, eps, rhoCap)
-	}
-	return f.solveDense(lambda, up, opts, eps, rhoCap)
-}
-
-// solveDense is the station-indexed solve: one solver per station up.
-// The per-station solvers cache kernels, service-time constants,
-// saturation bounds and the marginal cost at both ends of the feasible
-// range once for the whole φ search; each holds its previous rate as a
-// Newton warm start for the next φ. The paper's pure bisection stays
-// available behind opts.PureBisection.
-func (f *Fleet) solveDense(lambda float64, up []bool, opts Options, eps, rhoCap float64) (*Result, error) {
-	g := f.g
-	sub := g
-	if up != nil {
-		sub = &model.Group{Servers: make([]model.Server, 0, g.N()), TaskSize: g.TaskSize}
-		for i, s := range g.Servers {
-			if up[i] {
-				sub.Servers = append(sub.Servers, s)
-			}
+	rbar, d := f.g.TaskSize, opts.Discipline
+	var bisect func(s model.Server, phi float64) float64
+	if opts.PureBisection {
+		bisect = func(s model.Server, phi float64) float64 {
+			return FindRateLimited(s, rbar, lambda, phi, d, eps, rhoCap)
 		}
 	}
-	solvers := make([]stationSolver, sub.N())
-	for i, s := range sub.Servers {
-		solvers[i] = newStationSolver(s, g.TaskSize, lambda, opts.Discipline, eps, rhoCap)
-	}
-	solveOne := func(i int, phi float64) float64 {
-		if opts.PureBisection {
-			return FindRateLimited(sub.Servers[i], g.TaskSize, lambda, phi, opts.Discipline, eps, rhoCap)
-		}
-		return solvers[i].findRate(phi)
-	}
-	sol, err := searchPhi(denseEvaluator(sub, solvers, opts.Parallel, solveOne), lambda, eps, opts)
+	sf := newSparseFleet(f, counts, func(s model.Server) stationSolver {
+		return newStationSolver(s, rbar, lambda, d, eps, rhoCap)
+	}, bisect)
+	sol, err := searchPhi(sf, lambda, eps, opts)
 	if err != nil {
 		return nil, fmt.Errorf("core: failed to bracket φ: %w", err)
 	}
-	rates, utils, times := sol.Rates, sub.Utilizations(sol.Rates), sub.ResponseTimes(opts.Discipline, sol.Rates)
-	if up != nil {
-		// Fan out to full-length vectors: a down station carries no
-		// generic load and reports zero utilization and response time.
-		fr, fu, ft := make([]float64, g.N()), make([]float64, g.N()), make([]float64, g.N())
-		k := 0
-		for i := range g.Servers {
-			if up[i] {
-				fr[i], fu[i], ft[i] = rates[k], utils[k], times[k]
-				k++
-			}
-		}
-		rates, utils, times = fr, fu, ft
-	}
-	res := &Result{
-		Rates:           rates,
-		Phi:             sol.Phi,
-		AvgResponseTime: model.MeanResponseTime(rates, times),
-		Utilizations:    utils,
-		ResponseTimes:   times,
-		Discipline:      opts.Discipline,
-		TotalRate:       lambda,
-		cost:            solveCost{evals: sol.Evals},
-	}
-	for i := range solvers {
-		res.cost.kernelCalls += solvers[i].calls
+	res := sf.result(sol.Rates, sol.Phi, up, d, lambda)
+	res.cost.evals = sol.Evals
+	for c := range sf.classes {
+		res.cost.kernelCalls += sf.classes[c].solver.calls
 	}
 	return res, nil
 }

@@ -64,11 +64,11 @@ func upVectors(rng *rand.Rand, fleet *Fleet) map[string][]bool {
 	return map[string][]bool{"nil": nil, "random": random, "class down": classDown, "single": single}
 }
 
-// TestFleetMatchesDenseBitIdentical pins the Fleet's sparse re-plan —
+// TestFleetMatchesDenseBitIdentical pins the Fleet's re-plan —
 // survivors carried as class counts, totals summed exactly per class,
 // the result fanned out straight into full-length vectors — against the
-// dense station-by-station solve: on random clustered fleets, under
-// both disciplines, with and without a utilization cap and across
+// unclustered solve, one class per station: on random clustered fleets,
+// under both disciplines, with and without a utilization cap and across
 // availability patterns, every field agrees bit for bit.
 func TestFleetMatchesDenseBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(20261019))
@@ -83,6 +83,7 @@ func TestFleetMatchesDenseBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		unclustered := unclusteredFleet(g)
 		for _, d := range []queueing.Discipline{queueing.FCFS, queueing.Priority} {
 			rhoCap := 0.0
 			if rng.Intn(2) == 1 {
@@ -91,22 +92,21 @@ func TestFleetMatchesDenseBitIdentical(t *testing.T) {
 			lambda := (0.1 + 0.7*rng.Float64()) * g.MaxGenericRate()
 			for kind, up := range upVectors(rng, fleet) {
 				label := fmt.Sprintf("n=%d/%v/cap=%g/%s", n, d, rhoCap, kind)
-				dense, err := OptimizeDegraded(g, lambda, up, Options{Discipline: d, MaxUtilization: rhoCap})
+				opts := Options{Discipline: d, MaxUtilization: rhoCap}
+				want, err := unclustered.OptimizeDegraded(lambda, up, opts)
 				if err != nil {
-					t.Fatalf("%s: dense: %v", label, err)
+					t.Fatalf("%s: unclustered: %v", label, err)
 				}
-				sparse, err := fleet.OptimizeDegraded(lambda, up, Options{Discipline: d, MaxUtilization: rhoCap, Sparse: true})
+				got, err := fleet.OptimizeDegraded(lambda, up, opts)
 				if err != nil {
-					t.Fatalf("%s: sparse: %v", label, err)
+					t.Fatalf("%s: clustered: %v", label, err)
 				}
-				if diff := sameDegraded(dense, sparse); diff != "" {
+				if diff := sameDegraded(want, got); diff != "" {
 					t.Errorf("%s: %s", label, diff)
 				}
-				if i, ok := sameBits(dense.Rates, sparse.Sparse.Dense()); !ok {
-					t.Errorf("%s: compact allocation differs at station %d", label, i)
-				}
-				if ceiling := fleet.AdmissionCeiling(up, Options{MaxUtilization: rhoCap}); sparse.Shed > 0 && sparse.Admitted != ceiling {
-					t.Errorf("%s: shed to %v, admission ceiling %v", label, sparse.Admitted, ceiling)
+				checkCompact(t, label, &got.Result)
+				if ceiling := fleet.AdmissionCeiling(up, Options{MaxUtilization: rhoCap}); got.Shed > 0 && got.Admitted != ceiling {
+					t.Errorf("%s: shed to %v, admission ceiling %v", label, got.Admitted, ceiling)
 				}
 			}
 		}
@@ -124,7 +124,7 @@ func TestFleetReuseIsStateless(t *testing.T) {
 		t.Fatal(err)
 	}
 	ups := upVectors(rng, fleet)
-	opts := Options{Discipline: queueing.FCFS, Sparse: true}
+	opts := Options{Discipline: queueing.FCFS}
 	first, err := fleet.OptimizeDegraded(0.4*g.MaxGenericRate(), ups["random"], opts)
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +137,7 @@ func TestFleetReuseIsStateless(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	again, err := fleet.OptimizeDegraded(0.4*g.MaxGenericRate(), ups["random"], Options{Discipline: queueing.FCFS, Sparse: true})
+	again, err := fleet.OptimizeDegraded(0.4*g.MaxGenericRate(), ups["random"], Options{Discipline: queueing.FCFS})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,12 +163,12 @@ func TestFleetConcurrentSolves(t *testing.T) {
 	}
 	var inputs []input
 	for kind, up := range upVectors(rng, fleet) {
-		for _, sparse := range []bool{false, true} {
+		for _, rhoCap := range []float64{0, 0.9} {
 			d := queueing.FCFS
 			if kind == "random" {
 				d = queueing.Priority
 			}
-			inputs = append(inputs, input{(0.2 + 0.6*rng.Float64()) * g.MaxGenericRate(), up, Options{Discipline: d, Sparse: sparse, Parallel: sparse}})
+			inputs = append(inputs, input{(0.2 + 0.6*rng.Float64()) * g.MaxGenericRate(), up, Options{Discipline: d, MaxUtilization: rhoCap}})
 		}
 	}
 	want := make([]*DegradedResult, len(inputs))

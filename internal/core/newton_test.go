@@ -109,8 +109,8 @@ func TestNewtonWarmStartConsistency(t *testing.T) {
 // TestNewtonTinyLambdaConserves pins the cold start at λ′ far below the
 // Newton search's residual tolerance ε·Σλ′_max,i. At φ = min MC_i(0)
 // no station carries load, so F = 0 and |F − λ′| ≤ tolF; that must not
-// pass for convergence. Dense and sparse, under both disciplines, the
-// allocation must carry λ′ and its T′ must match the oracle's.
+// pass for convergence. Under both disciplines, the allocation must
+// carry λ′ and its T′ must match the oracle's.
 func TestNewtonTinyLambdaConserves(t *testing.T) {
 	g := model.LiExample1Group()
 	for _, lambda := range []float64{1e-300, 1e-20, 1e-12, 4e-11, 4.7e-11} {
@@ -119,23 +119,21 @@ func TestNewtonTinyLambdaConserves(t *testing.T) {
 			if err != nil {
 				t.Fatalf("λ′=%g %v: oracle: %v", lambda, d, err)
 			}
-			for _, sparse := range []bool{false, true} {
-				label := fmt.Sprintf("λ′=%g %v sparse=%v", lambda, d, sparse)
-				res, err := Optimize(g, lambda, Options{Discipline: d, Sparse: sparse})
-				if err != nil {
-					t.Errorf("%s: %v", label, err)
-					continue
-				}
-				var sum numeric.KahanSum
-				for _, r := range res.Rates {
-					sum.Add(r)
-				}
-				if rel := math.Abs(sum.Value()-lambda) / lambda; !(rel <= 1e-12) {
-					t.Errorf("%s: Σλ′_i = %g (relative error %g)", label, sum.Value(), rel)
-				}
-				if diff := math.Abs(res.AvgResponseTime - oracle.AvgResponseTime); !(diff <= 1e-9) {
-					t.Errorf("%s: T′ = %.15g, oracle %.15g", label, res.AvgResponseTime, oracle.AvgResponseTime)
-				}
+			label := fmt.Sprintf("λ′=%g %v", lambda, d)
+			res, err := Optimize(g, lambda, Options{Discipline: d})
+			if err != nil {
+				t.Errorf("%s: %v", label, err)
+				continue
+			}
+			var sum numeric.KahanSum
+			for _, r := range res.Rates {
+				sum.Add(r)
+			}
+			if rel := math.Abs(sum.Value()-lambda) / lambda; !(rel <= 1e-12) {
+				t.Errorf("%s: Σλ′_i = %g (relative error %g)", label, sum.Value(), rel)
+			}
+			if diff := math.Abs(res.AvgResponseTime - oracle.AvgResponseTime); !(diff <= 1e-9) {
+				t.Errorf("%s: T′ = %.15g, oracle %.15g", label, res.AvgResponseTime, oracle.AvgResponseTime)
 			}
 		}
 	}

@@ -8,31 +8,6 @@ import (
 	"repro/internal/numeric"
 )
 
-// phiEvaluator is the hook the outer φ search drives. The rate vector
-// may be station-indexed (the dense path) or class-indexed (the sparse
-// path); the driver never looks inside it.
-type phiEvaluator struct {
-	// eval recomputes the rate vector at φ into scratch and returns its
-	// total F(φ) together with the slope F′(φ) = Σ dλ′_i/dφ over
-	// stations strictly inside (0, cap). The driver copies scratch out
-	// to cache evaluations at the ends of its bracket.
-	eval    func(phi float64) (f, slope float64)
-	scratch []float64
-	// total re-totals a rate vector after the segment repair, and
-	// feasible checks one after the conservation projection.
-	total    func(rates []float64) float64
-	feasible func(rates []float64) error
-	// entries holds the finite MC_i(0), ascending: station i enters the
-	// allocation as φ crosses MC_i(0), so F is concave between adjacent
-	// entries and its slope jumps up at each one. F(φ) = 0 for every
-	// φ ≤ entries[0], the Newton search's cold start.
-	entries []float64
-	// maxRate is Σ λ′_max,i. Each inner solve is accurate to ε·λ′_max,i,
-	// so ε·maxRate is the accuracy of F(φ) itself and the Newton
-	// search's residual tolerance.
-	maxRate float64
-}
-
 // phiSolution is the outcome of the outer search: the located
 // multiplier, the rate vector and total at Phi, and the cached
 // evaluations at both ends of the final bracket. RatesLo/FLo are the
@@ -60,7 +35,7 @@ type phiSolution struct {
 // (bisectPhi), the oracle the Newton search is tested against. Unless
 // Options.NoRescale is set, the segment repair and the conservation
 // projection (conserve) finish the allocation.
-func searchPhi(ev phiEvaluator, lambda, eps float64, opts Options) (phiSolution, error) {
+func searchPhi(ev *sparseFleet, lambda, eps float64, opts Options) (phiSolution, error) {
 	warm := opts.WarmPhi > 0 && !isInfNaN(opts.WarmPhi)
 	var sol phiSolution
 	var err error
@@ -97,11 +72,11 @@ func searchPhi(ev phiEvaluator, lambda, eps float64, opts Options) (phiSolution,
 // bisectPhi is the outer loop of the paper's Fig. 3 ("Calculate T′"):
 // grow φ by doubling from start until F(φ) ≥ λ′ (lines 1–10), then
 // bisect the bracket [0, φ_hi] to relative width eps (lines 11–27).
-func bisectPhi(ev phiEvaluator, lambda, start, eps float64, needEndpoints bool) (phiSolution, error) {
-	var sol phiSolution
+func bisectPhi(ev *sparseFleet, lambda, start, eps float64, needEndpoints bool) (phiSolution, error) {
+	sol := ev.newSolution()
 	var lastF float64
 	eval := func(phi float64) float64 {
-		lastF, _ = ev.eval(phi)
+		lastF, _ = ev.ratesAt(phi)
 		sol.Evals++
 		return lastF
 	}
@@ -154,13 +129,13 @@ func bisectPhi(ev phiEvaluator, lambda, start, eps float64, needEndpoints bool) 
 // iteration continues from below on the concave piece above the entry.
 // After maxNewtonSteps the search only bisects, which bounds the cost
 // of any input Newton handles badly.
-func newtonPhi(ev phiEvaluator, lambda, start, eps, tolF float64, needEndpoints bool) (phiSolution, error) {
-	var sol phiSolution
+func newtonPhi(ev *sparseFleet, lambda, start, eps, tolF float64, needEndpoints bool) (phiSolution, error) {
+	sol := ev.newSolution()
 	lb, ub := 0.0, math.Inf(1)
 	hasLo := false
 	phi := start
 	for i := 0; i < numeric.MaxIterations; i++ {
-		f, slope := ev.eval(phi)
+		f, slope := ev.ratesAt(phi)
 		sol.Evals++
 		if f >= lambda {
 			ub = phi
@@ -232,16 +207,16 @@ const maxNewtonSteps = 64
 // still φ = 0), the lower end is evaluated once, and F(0) = 0 because
 // every idle marginal cost is positive. Otherwise (NoRescale) the raw
 // allocation at the midpoint is evaluated.
-func (sol *phiSolution) settleSegment(ev phiEvaluator, lb, ub float64, hasLo, needEndpoints bool) {
+func (sol *phiSolution) settleSegment(ev *sparseFleet, lb, ub float64, hasLo, needEndpoints bool) {
 	sol.Phi = lb + (ub-lb)/2
 	if !needEndpoints {
-		sol.F, _ = ev.eval(sol.Phi)
+		sol.F, _ = ev.ratesAt(sol.Phi)
 		sol.Rates = append(sol.Rates[:0], ev.scratch...)
 		sol.Evals++
 		return
 	}
 	if !hasLo {
-		sol.FLo, _ = ev.eval(lb)
+		sol.FLo, _ = ev.ratesAt(lb)
 		sol.RatesLo = append(sol.RatesLo[:0], ev.scratch...)
 		sol.Evals++
 	}
@@ -261,14 +236,14 @@ func (sol *phiSolution) settleSegment(ev phiEvaluator, lb, ub float64, hasLo, ne
 // interpolated in place over the lower end's vector. The float dust
 // left after that is removed by an exact projection whose factor is
 // 1 ± O(ε), undone if it would de-stabilize a station.
-func (sol *phiSolution) conserve(ev phiEvaluator, lambda float64) {
+func (sol *phiSolution) conserve(ev *sparseFleet, lambda float64) {
 	if sol.Segment {
 		t := (lambda - sol.FLo) / (sol.FHi - sol.FLo)
 		sol.Rates = sol.RatesLo
 		for i, hi := range sol.RatesHi {
 			sol.Rates[i] += t * (hi - sol.Rates[i])
 		}
-		sol.F = ev.total(sol.Rates)
+		sol.F = ev.totalOf(sol.Rates)
 	}
 	rates, f := sol.Rates, sol.F
 	if f > 0 {

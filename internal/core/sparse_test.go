@@ -13,7 +13,7 @@ import (
 
 // clusteredFleet builds an n-station fleet whose signatures are drawn
 // from a fixed pool of distinct (size, speed, special-rate) classes, so
-// the sparse path has real clustering to exploit.
+// the class evaluator has real clustering to exploit.
 func clusteredFleet(n, pool int) *model.Group {
 	servers := make([]model.Server, n)
 	for i := range servers {
@@ -64,10 +64,62 @@ func sameBits(a, b []float64) (int, bool) {
 	return -1, true
 }
 
+// unclusteredFleet indexes g with one class per station, whatever the
+// stations' signatures: the station-by-station solve, which a clustered
+// solve must reproduce bit for bit.
+func unclusteredFleet(g *model.Group) *Fleet {
+	f := &Fleet{
+		g:       g,
+		classOf: make([]int32, g.N()),
+		classes: make([]fleetClass, g.N()),
+		counts:  make([]int, g.N()),
+	}
+	for i, s := range g.Servers {
+		f.classOf[i] = int32(i)
+		f.classes[i] = fleetClass{rep: s, capacity: s.Capacity(g.TaskSize), maxRate: s.MaxGenericRate(g.TaskSize)}
+		f.counts[i] = 1
+	}
+	return f
+}
+
+// optimizeUnclustered is Optimize on unclusteredFleet(g).
+func optimizeUnclustered(g *model.Group, lambda float64, opts Options) (*Result, error) {
+	f := unclusteredFleet(g)
+	return f.solve(lambda, nil, f.counts, opts)
+}
+
+// checkCompact checks a result's compact allocation against its Rates:
+// the stations with positive rate, ascending, with the same bits.
+func checkCompact(t *testing.T, label string, res *Result) {
+	t.Helper()
+	sp := res.Sparse
+	if sp == nil {
+		t.Fatalf("%s: no compact allocation", label)
+	}
+	if sp.N != len(res.Rates) || len(sp.Rate) != sp.NNZ() {
+		t.Fatalf("%s: compact N %d, %d rates for %d indices; %d stations", label, sp.N, len(sp.Rate), sp.NNZ(), len(res.Rates))
+	}
+	k := 0
+	for i, r := range res.Rates {
+		if r <= 0 {
+			continue
+		}
+		if k == sp.NNZ() || sp.Index[k] != int32(i) || math.Float64bits(sp.Rate[k]) != math.Float64bits(r) {
+			t.Fatalf("%s: compact entry %d does not list station %d (rate %v)", label, k, i, r)
+		}
+		k++
+	}
+	if k != sp.NNZ() {
+		t.Errorf("%s: compact form lists %d stations, %d carry load", label, sp.NNZ(), k)
+	}
+}
+
 // TestSparseMatchesDenseBitIdentical pins the central claim of the
-// sparse path: class clustering plus MC(0) pruning is a pure
+// class evaluator: class clustering plus MC(0) pruning is a pure
 // re-bracketing of identical arithmetic, so every output — rates, φ,
-// response times, utilizations — matches the dense solver bit for bit.
+// response times, utilizations — matches the unclustered solve, one
+// class per station, bit for bit. The compact allocation lists exactly
+// the loaded stations, ascending.
 func TestSparseMatchesDenseBitIdentical(t *testing.T) {
 	groups := map[string]*model.Group{
 		"liExample1": model.LiExample1Group(),
@@ -80,128 +132,63 @@ func TestSparseMatchesDenseBitIdentical(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/%v/cap=%g", name, d, cap), func(t *testing.T) {
 					lambda := 0.4 * g.MaxGenericRate()
 					opts := Options{Discipline: d, MaxUtilization: cap}
-					dense, err := Optimize(g, lambda, opts)
+					want, err := optimizeUnclustered(g, lambda, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
-					opts.Sparse = true
-					sparse, err := Optimize(g, lambda, opts)
+					got, err := Optimize(g, lambda, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if math.Float64bits(dense.Phi) != math.Float64bits(sparse.Phi) {
-						t.Errorf("φ differs: dense %x sparse %x", math.Float64bits(dense.Phi), math.Float64bits(sparse.Phi))
+					if math.Float64bits(want.Phi) != math.Float64bits(got.Phi) {
+						t.Errorf("φ differs: unclustered %x clustered %x", math.Float64bits(want.Phi), math.Float64bits(got.Phi))
 					}
-					if i, ok := sameBits(dense.Rates, sparse.Rates); !ok {
-						t.Errorf("rates differ at station %d: dense %x sparse %x",
-							i, math.Float64bits(dense.Rates[i]), math.Float64bits(sparse.Rates[i]))
+					if i, ok := sameBits(want.Rates, got.Rates); !ok {
+						t.Errorf("rates differ at station %d: unclustered %x clustered %x",
+							i, math.Float64bits(want.Rates[i]), math.Float64bits(got.Rates[i]))
 					}
-					if math.Float64bits(dense.AvgResponseTime) != math.Float64bits(sparse.AvgResponseTime) {
-						t.Errorf("T′ differs: dense %g sparse %g", dense.AvgResponseTime, sparse.AvgResponseTime)
+					if math.Float64bits(want.AvgResponseTime) != math.Float64bits(got.AvgResponseTime) {
+						t.Errorf("T′ differs: unclustered %g clustered %g", want.AvgResponseTime, got.AvgResponseTime)
 					}
-					if i, ok := sameBits(dense.Utilizations, sparse.Utilizations); !ok {
+					if i, ok := sameBits(want.Utilizations, got.Utilizations); !ok {
 						t.Errorf("utilizations differ at station %d", i)
 					}
-					if i, ok := sameBits(dense.ResponseTimes, sparse.ResponseTimes); !ok {
+					if i, ok := sameBits(want.ResponseTimes, got.ResponseTimes); !ok {
 						t.Errorf("response times differ at station %d", i)
 					}
-					if sparse.Sparse == nil {
-						t.Fatal("sparse result missing compact allocation")
+					if got.Classes <= 0 || got.Classes > g.N() {
+						t.Errorf("implausible class count %d for n=%d", got.Classes, g.N())
 					}
-					if sparse.Classes <= 0 || sparse.Classes > g.N() {
-						t.Errorf("implausible class count %d for n=%d", sparse.Classes, g.N())
-					}
-					// The compact form must agree with the dense vector
-					// exactly: same nonzero stations, same bits.
-					fromSparse := sparse.Sparse.Dense()
-					if i, ok := sameBits(dense.Rates, fromSparse); !ok {
-						t.Errorf("compact allocation differs at station %d", i)
-					}
+					checkCompact(t, "clustered", got)
+					checkCompact(t, "unclustered", want)
 				})
 			}
 		}
 	}
 }
 
-// TestSparsePureBisection covers the Sparse × PureBisection combination:
-// the inner solve goes through FindRateLimited on the class
-// representative, which must still match the dense pure-bisection run.
+// TestSparsePureBisection covers the class evaluator under
+// PureBisection: the inner solve goes through FindRateLimited on each
+// class representative, and the clustered solve must still match the
+// unclustered one.
 func TestSparsePureBisection(t *testing.T) {
 	g := clusteredFleet(64, 12)
 	lambda := 0.4 * g.MaxGenericRate()
-	dense, err := Optimize(g, lambda, Options{PureBisection: true})
+	want, err := optimizeUnclustered(g, lambda, Options{PureBisection: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sparse, err := Optimize(g, lambda, Options{PureBisection: true, Sparse: true})
+	got, err := Optimize(g, lambda, Options{PureBisection: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if i, ok := sameBits(dense.Rates, sparse.Rates); !ok {
+	if i, ok := sameBits(want.Rates, got.Rates); !ok {
 		t.Errorf("rates differ at station %d", i)
 	}
-}
-
-// TestSparseParallelMatchesSequential pins determinism of the chunked
-// class solve: goroutine count must not leak into the arithmetic.
-func TestSparseParallelMatchesSequential(t *testing.T) {
-	g := clusteredFleet(512, 24)
-	lambda := 0.5 * g.MaxGenericRate()
-	seq, err := Optimize(g, lambda, Options{Sparse: true})
-	if err != nil {
-		t.Fatal(err)
+	if math.Float64bits(want.AvgResponseTime) != math.Float64bits(got.AvgResponseTime) {
+		t.Errorf("T′ differs: unclustered %.17g clustered %.17g", want.AvgResponseTime, got.AvgResponseTime)
 	}
-	par, err := Optimize(g, lambda, Options{Sparse: true, Parallel: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if i, ok := sameBits(seq.Rates, par.Rates); !ok {
-		t.Errorf("parallel run diverged at station %d", i)
-	}
-}
-
-// TestSparseCompactResult checks the fleet-scale result form: no dense
-// slices at all, a compact allocation that sums to λ′, and a T′ within
-// float dust of the dense computation (it is regrouped by class, so
-// bit-identity is not promised — only ≤1e-12 relative error).
-func TestSparseCompactResult(t *testing.T) {
-	g := clusteredFleet(512, 24)
-	lambda := 0.4 * g.MaxGenericRate()
-	for _, d := range []queueing.Discipline{queueing.FCFS, queueing.Priority} {
-		dense, err := Optimize(g, lambda, Options{Discipline: d})
-		if err != nil {
-			t.Fatal(err)
-		}
-		compact, err := Optimize(g, lambda, Options{Discipline: d, Sparse: true, CompactResult: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if compact.Rates != nil || compact.Utilizations != nil || compact.ResponseTimes != nil {
-			t.Error("compact result materialized dense slices")
-		}
-		if compact.Sparse == nil {
-			t.Fatal("compact result missing allocation")
-		}
-		if got := compact.Sparse.Sum(); math.Abs(got-lambda) > 1e-9*lambda {
-			t.Errorf("%v: compact Σλ′_i = %.12g, want %.12g", d, got, lambda)
-		}
-		if i, ok := sameBits(dense.Rates, compact.Sparse.Dense()); !ok {
-			t.Errorf("%v: compact allocation differs from dense at station %d", d, i)
-		}
-		if rel := math.Abs(compact.AvgResponseTime-dense.AvgResponseTime) / dense.AvgResponseTime; rel > 1e-12 {
-			t.Errorf("%v: compact T′=%.17g vs dense %.17g (rel %g)", d, compact.AvgResponseTime, dense.AvgResponseTime, rel)
-		}
-		var count int
-		compact.Sparse.ForEach(func(station int, rate float64) {
-			if rate <= 0 {
-				t.Errorf("ForEach yielded non-positive rate %g at station %d", rate, station)
-			}
-			count++
-		})
-		if count != compact.Sparse.NNZ() {
-			t.Errorf("ForEach visited %d stations, NNZ=%d", count, compact.Sparse.NNZ())
-		}
-	}
+	checkCompact(t, "pure bisection", got)
 }
 
 // TestSparsePruningDropsSlowStations checks the pruning machinery does
@@ -216,7 +203,7 @@ func TestSparsePruningDropsSlowStations(t *testing.T) {
 		servers[i] = s
 	}
 	g := &model.Group{Servers: servers, TaskSize: 1.0}
-	res, err := Optimize(g, 0.05*g.MaxGenericRate(), Options{Sparse: true, CompactResult: true})
+	res, err := Optimize(g, 0.05*g.MaxGenericRate(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,8 +215,9 @@ func TestSparsePruningDropsSlowStations(t *testing.T) {
 	}
 }
 
-// TestSparseDegradedRemap checks OptimizeDegraded maps a compact
-// survivor allocation back to full-fleet station indices.
+// TestSparseDegradedRemap checks OptimizeDegraded maps a survivor
+// allocation back to full-fleet station indices: the compact form lists
+// only stations up, ascending, and carries the admitted rate.
 func TestSparseDegradedRemap(t *testing.T) {
 	g := clusteredFleet(64, 12)
 	up := make([]bool, g.N())
@@ -237,35 +225,25 @@ func TestSparseDegradedRemap(t *testing.T) {
 		up[i] = i%5 != 0
 	}
 	lambda := 0.3 * g.MaxGenericRate()
-	res, err := OptimizeDegraded(g, lambda, up, Options{Sparse: true, CompactResult: true})
+	res, err := OptimizeDegraded(g, lambda, up, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Sparse == nil {
-		t.Fatal("degraded compact result missing allocation")
-	}
-	if res.Sparse.N != g.N() {
-		t.Fatalf("sparse N=%d, want %d", res.Sparse.N, g.N())
-	}
-	prev := int32(-1)
-	res.Sparse.ForEach(func(station int, rate float64) {
+	checkCompact(t, "degraded", &res.Result)
+	for _, station := range res.Sparse.Index {
 		if !up[station] {
-			t.Errorf("down station %d carries rate %g", station, rate)
+			t.Errorf("down station %d carries load", station)
 		}
-		if int32(station) <= prev {
-			t.Errorf("indices not ascending at station %d", station)
-		}
-		prev = int32(station)
-	})
-	if got := res.Sparse.Sum(); math.Abs(got-res.Admitted) > 1e-9*res.Admitted {
+	}
+	if got := numeric.Sum(res.Sparse.Rate); math.Abs(got-res.Admitted) > 1e-9*res.Admitted {
 		t.Errorf("compact Σλ′_i = %.12g, want admitted %.12g", got, res.Admitted)
 	}
 }
 
 // TestSparseDegradedMatchesDenseBitIdentical pins the call serve's
-// buildPlan makes: OptimizeDegraded with stations down and the dense
-// result slices materialized. The per-class result must expand to the
-// same bits as the dense solve over the survivors.
+// buildPlan makes: OptimizeDegraded with stations down. The clustered
+// result must expand to the same bits as the unclustered solve over
+// the survivors.
 func TestSparseDegradedMatchesDenseBitIdentical(t *testing.T) {
 	g := clusteredFleet(512, 24)
 	up := make([]bool, g.N())
@@ -274,36 +252,25 @@ func TestSparseDegradedMatchesDenseBitIdentical(t *testing.T) {
 	}
 	lambda := 0.4 * g.MaxGenericRate()
 	for _, d := range []queueing.Discipline{queueing.FCFS, queueing.Priority} {
-		dense, err := OptimizeDegraded(g, lambda, up, Options{Discipline: d})
+		want, err := unclusteredFleet(g).OptimizeDegraded(lambda, up, Options{Discipline: d})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sparse, err := OptimizeDegraded(g, lambda, up, Options{Discipline: d, Sparse: true})
+		got, err := OptimizeDegraded(g, lambda, up, Options{Discipline: d})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, f := range []struct {
-			name          string
-			dense, sparse []float64
-		}{
-			{"rates", dense.Rates, sparse.Rates},
-			{"utilizations", dense.Utilizations, sparse.Utilizations},
-			{"response times", dense.ResponseTimes, sparse.ResponseTimes},
-		} {
-			if i, ok := sameBits(f.dense, f.sparse); !ok {
-				t.Errorf("%v: %s differ at station %d", d, f.name, i)
-			}
+		if diff := sameDegraded(want, got); diff != "" {
+			t.Errorf("%v: %s", d, diff)
 		}
-		if math.Float64bits(dense.AvgResponseTime) != math.Float64bits(sparse.AvgResponseTime) {
-			t.Errorf("%v: T′ differs: dense %.17g sparse %.17g", d, dense.AvgResponseTime, sparse.AvgResponseTime)
-		}
+		checkCompact(t, d.String(), &got.Result)
 	}
 }
 
 // TestSparseKKTProperty is the randomized property test: on seeded
 // heterogeneous fleets across three sizes, with and without a
-// utilization cap, the sparse path's allocation must satisfy the KKT
-// conditions to tolerance and match the dense solver bit for bit.
+// utilization cap, the clustered allocation must satisfy the KKT
+// conditions to tolerance and match the unclustered solve bit for bit.
 func TestSparseKKTProperty(t *testing.T) {
 	sizes := []int{64, 512, 4096}
 	if testing.Short() {
@@ -337,22 +304,21 @@ func TestSparseKKTProperty(t *testing.T) {
 					lambda = ceiling
 				}
 			}
-			opts := Options{Discipline: d, MaxUtilization: cap, Parallel: n >= 4096}
-			opts.Sparse = true
-			sparse, err := Optimize(g, lambda, opts)
+			opts := Options{Discipline: d, MaxUtilization: cap}
+			got, err := Optimize(g, lambda, opts)
 			if err != nil {
-				t.Fatalf("%s: sparse: %v", name, err)
+				t.Fatalf("%s: clustered: %v", name, err)
 			}
-			if got := numeric.Sum(sparse.Rates); math.Abs(got-lambda) > 1e-9*lambda {
-				t.Errorf("%s: Σλ′_i = %.12g, want %.12g", name, got, lambda)
+			if sum := numeric.Sum(got.Rates); math.Abs(sum-lambda) > 1e-9*lambda {
+				t.Errorf("%s: Σλ′_i = %.12g, want %.12g", name, sum, lambda)
 			}
-			if err := g.Feasible(sparse.Rates); err != nil {
+			if err := g.Feasible(got.Rates); err != nil {
 				t.Errorf("%s: infeasible: %v", name, err)
 			}
 			if cap == 0 {
 				// KKTResidual assumes uncapped stationarity; capped
 				// solves pin stations at the cap boundary instead.
-				resid, err := KKTResidual(g, d, sparse.Rates)
+				resid, err := KKTResidual(g, d, got.Rates)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -360,15 +326,13 @@ func TestSparseKKTProperty(t *testing.T) {
 					t.Errorf("%s: KKT residual %g too large", name, resid)
 				}
 			}
-			opts.Sparse = false
-			opts.Parallel = false
-			dense, err := Optimize(g, lambda, opts)
+			want, err := optimizeUnclustered(g, lambda, opts)
 			if err != nil {
-				t.Fatalf("%s: dense: %v", name, err)
+				t.Fatalf("%s: unclustered: %v", name, err)
 			}
-			if i, ok := sameBits(dense.Rates, sparse.Rates); !ok {
-				t.Errorf("%s: sparse diverged from dense at station %d: %x vs %x",
-					name, i, math.Float64bits(dense.Rates[i]), math.Float64bits(sparse.Rates[i]))
+			if i, ok := sameBits(want.Rates, got.Rates); !ok {
+				t.Errorf("%s: clustered diverged from unclustered at station %d: %x vs %x",
+					name, i, math.Float64bits(want.Rates[i]), math.Float64bits(got.Rates[i]))
 			}
 		}
 	}

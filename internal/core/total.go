@@ -80,7 +80,8 @@ func totalMarginalCost(s model.Server, d queueing.Discipline, rate, bigLambda, r
 // tasks (whose placement is fixed) when that helps generic ones. With
 // no special load the two objectives coincide, which tests verify.
 func OptimizeTotal(g *model.Group, lambda float64, opts Options) (*TotalResult, error) {
-	if err := g.Validate(); err != nil {
+	f, err := NewFleet(g)
+	if err != nil {
 		return nil, err
 	}
 	if !opts.Discipline.Valid() {
@@ -120,29 +121,31 @@ func OptimizeTotal(g *model.Group, lambda float64, opts Options) (*TotalResult, 
 		}
 		return r
 	}
-	// Newton-accelerated per-station solvers on the fleet-wide marginal
+	// Newton-accelerated per-class solvers on the fleet-wide marginal
 	// cost; rateFor above is the pure-bisection oracle, the only inner
 	// path under opts.PureBisection.
-	solvers := make([]stationSolver, g.N())
-	for i, s := range g.Servers {
-		solvers[i] = newStationSolver(s, g.TaskSize, bigLambda, opts.Discipline, eps, 1)
-		solvers[i].useTotalObjective()
+	var bisect func(s model.Server, phi float64) float64
+	if opts.PureBisection {
+		bisect = rateFor
 	}
-	solveOne := func(i int, phi float64) float64 {
-		if opts.PureBisection {
-			return rateFor(g.Servers[i], phi)
-		}
-		return solvers[i].findRate(phi)
-	}
+	sf := newSparseFleet(f, f.counts, func(s model.Server) stationSolver {
+		ss := newStationSolver(s, g.TaskSize, bigLambda, opts.Discipline, eps, 1)
+		ss.useTotalObjective()
+		return ss
+	}, bisect)
 	// The fleet-wide objective always conserves λ′ exactly.
 	opts.NoRescale = false
-	sol, err := searchPhi(denseEvaluator(g, solvers, opts.Parallel, solveOne), lambda, eps, opts)
+	sol, err := searchPhi(sf, lambda, eps, opts)
 	if err != nil {
 		return nil, fmt.Errorf("core: failed to bracket φ: %w", err)
 	}
-	rates, phi := sol.Rates, sol.Phi
+	rateOf := sf.rateOf(sol.Rates)
+	rates := make([]float64, g.N())
+	for i, c := range f.classOf {
+		rates[i] = rateOf[c]
+	}
 
-	res := &TotalResult{Rates: rates, Phi: phi, Utilizations: g.Utilizations(rates)}
+	res := &TotalResult{Rates: rates, Phi: sol.Phi, Utilizations: g.Utilizations(rates)}
 	var all, gen, spe numeric.KahanSum
 	var speRate numeric.KahanSum
 	for i, s := range g.Servers {

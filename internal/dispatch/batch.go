@@ -238,7 +238,7 @@ func (p *Probabilistic) PickN(views []sim.StationView, rng *rand.Rand, dst []int
 
 // Batched wraps a dispatcher so the simulator routes arrivals in
 // batches of k from one frozen view snapshot — the simulator-side model
-// of the serving layer's DecideBatch/coalescer: every k-th arrival
+// of the serving layer's DecideBatch: every k-th arrival
 // snapshots the stations, the whole batch routes against that snapshot,
 // and the intervening completions and arrivals are invisible until the
 // next refill. State-aware inner policies see the batch's own picks

@@ -9,9 +9,9 @@ import (
 // a plain `sum += x` (or `sum -= x`, `sum = sum + x`, `sum = x + sum`)
 // that accumulates a float across loop iterations in internal/core or
 // internal/plan loses low-order bits once fleets reach thousands of
-// stations — exactly the scale the sparse solver targets — and those
+// stations — exactly the scale the class evaluator targets — and those
 // bits decide outer-bisection comparisons, so naive accumulation breaks
-// the dense/sparse bit-identity contract (DESIGN §14). Station- and
+// the clustered/unclustered bit-identity contract (DESIGN §14). Station- and
 // class-indexed totals must go through numeric.KahanSum. An
 // accumulation that provably doesn't need compensation (bounded trip
 // count, exact values) carries a //bladelint:allow kahancheck

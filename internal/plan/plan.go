@@ -17,22 +17,10 @@ import (
 	"repro/internal/queueing"
 )
 
-// solveOpts normalizes caller options for planning probes: every probe
-// only consumes T′ (and φ for warm starts), so a sparse solve can skip
-// the dense result slices entirely — at fleet scale that is what keeps
-// a bisection from materializing an n-wide vector per probe.
-func solveOpts(opts core.Options) core.Options {
-	if opts.Sparse {
-		opts.CompactResult = true
-	}
-	return opts
-}
-
 // minResponseTime returns the optimal T′ at load lambda, or +Inf when
-// the load is infeasible. opts carries the discipline and, for
-// fleet-scale groups, the sparse solve path.
-func minResponseTime(g *model.Group, lambda float64, opts core.Options) (float64, error) {
-	res, err := core.Optimize(g, lambda, solveOpts(opts))
+// the load is infeasible.
+func minResponseTime(g *model.Group, lambda float64, d queueing.Discipline) (float64, error) {
+	res, err := core.Optimize(g, lambda, core.Options{Discipline: d})
 	if err != nil {
 		return math.Inf(1), err
 	}
@@ -42,9 +30,9 @@ func minResponseTime(g *model.Group, lambda float64, opts core.Options) (float64
 // minPossibleT returns the T′ floor of the group: the optimal T′ as
 // λ′ → 0, which is the response time when every task can pick freely
 // among the preloaded servers. No SLA below this is achievable.
-func minPossibleT(g *model.Group, opts core.Options) (float64, error) {
+func minPossibleT(g *model.Group, d queueing.Discipline) (float64, error) {
 	lambda := 1e-6 * g.MaxGenericRate()
-	return minResponseTime(g, lambda, opts)
+	return minResponseTime(g, lambda, d)
 }
 
 // MaxAdmissibleRate returns the largest total generic rate λ′ whose
@@ -59,28 +47,19 @@ func minPossibleT(g *model.Group, opts core.Options) (float64, error) {
 // expansion (tests pin that the warm path returns the bit-identical
 // frontier of the cold path).
 func MaxAdmissibleRate(g *model.Group, d queueing.Discipline, slaT float64) (float64, error) {
-	return maxAdmissibleRate(g, slaT, core.Options{Discipline: d}, true)
-}
-
-// MaxAdmissibleRateOpts is MaxAdmissibleRate with full solver options:
-// the discipline rides in opts.Discipline, and Sparse/Parallel select
-// the fleet-scale solve path for every bisection probe (each probe then
-// touches only the active classes and never materializes a dense rate
-// vector).
-func MaxAdmissibleRateOpts(g *model.Group, slaT float64, opts core.Options) (float64, error) {
-	return maxAdmissibleRate(g, slaT, opts, true)
+	return maxAdmissibleRate(g, d, slaT, true)
 }
 
 // maxAdmissibleRate is MaxAdmissibleRate with the warm start
 // switchable, so tests can compare the warm path against the cold one.
-func maxAdmissibleRate(g *model.Group, slaT float64, opts core.Options, warmStart bool) (float64, error) {
+func maxAdmissibleRate(g *model.Group, d queueing.Discipline, slaT float64, warmStart bool) (float64, error) {
 	if err := g.Validate(); err != nil {
 		return 0, err
 	}
 	if slaT <= 0 || math.IsNaN(slaT) {
 		return 0, fmt.Errorf("plan: SLA %g must be positive", slaT)
 	}
-	floor, err := minPossibleT(g, opts)
+	floor, err := minPossibleT(g, d)
 	if err != nil {
 		return 0, err
 	}
@@ -93,7 +72,7 @@ func maxAdmissibleRate(g *model.Group, slaT float64, opts core.Options, warmStar
 	// T′ → ∞ at saturation.
 	var warmPhi float64
 	violates := func(lambda float64) bool {
-		probe := solveOpts(opts)
+		probe := core.Options{Discipline: d}
 		if warmStart {
 			probe.WarmPhi = warmPhi
 		}
@@ -176,14 +155,6 @@ type BladePlacement struct {
 // steepest descent on T′). maxBlades bounds the search. The returned
 // group is the expanded system; the original is not modified.
 func PlanBlades(g *model.Group, d queueing.Discipline, lambda, slaT float64, maxBlades int) (*model.Group, []BladePlacement, error) {
-	return PlanBladesOpts(g, lambda, slaT, maxBlades, core.Options{Discipline: d})
-}
-
-// PlanBladesOpts is PlanBlades with full solver options (see
-// MaxAdmissibleRateOpts). At fleet scale each greedy step evaluates n
-// candidate groups, so routing the probes through the sparse path is
-// what keeps the search tractable.
-func PlanBladesOpts(g *model.Group, lambda, slaT float64, maxBlades int, opts core.Options) (*model.Group, []BladePlacement, error) {
 	if err := g.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -203,7 +174,7 @@ func PlanBladesOpts(g *model.Group, lambda, slaT float64, maxBlades int, opts co
 		if lambda >= grp.MaxGenericRate() {
 			return math.Inf(1)
 		}
-		t, err := minResponseTime(grp, lambda, opts)
+		t, err := minResponseTime(grp, lambda, d)
 		if err != nil {
 			return math.Inf(1)
 		}
@@ -250,12 +221,6 @@ func PlanBladesOpts(g *model.Group, lambda, slaT float64, maxBlades int, opts co
 // does) meets T′ ≤ slaT at load lambda. Returns 1 if the group already
 // complies, and an error if even maxScale does not help.
 func MinSpeedScale(g *model.Group, d queueing.Discipline, lambda, slaT, maxScale float64) (float64, error) {
-	return MinSpeedScaleOpts(g, lambda, slaT, maxScale, core.Options{Discipline: d})
-}
-
-// MinSpeedScaleOpts is MinSpeedScale with full solver options (see
-// MaxAdmissibleRateOpts).
-func MinSpeedScaleOpts(g *model.Group, lambda, slaT, maxScale float64, opts core.Options) (float64, error) {
 	if err := g.Validate(); err != nil {
 		return 0, err
 	}
@@ -278,7 +243,7 @@ func MinSpeedScaleOpts(g *model.Group, lambda, slaT, maxScale float64, opts core
 		if lambda >= grp.MaxGenericRate() {
 			return false
 		}
-		t, err := minResponseTime(grp, lambda, opts)
+		t, err := minResponseTime(grp, lambda, d)
 		return err == nil && t <= slaT
 	}
 	if meets(1) {

@@ -264,8 +264,8 @@ func TestMaxAdmissibleRateWarmStartBitIdentical(t *testing.T) {
 	g := liGroup()
 	for _, d := range []queueing.Discipline{queueing.FCFS, queueing.Priority} {
 		for _, sla := range []float64{0.8, 0.95, 1.2, 2.5} {
-			warm, warmErr := maxAdmissibleRate(g, sla, core.Options{Discipline: d}, true)
-			cold, coldErr := maxAdmissibleRate(g, sla, core.Options{Discipline: d}, false)
+			warm, warmErr := maxAdmissibleRate(g, d, sla, true)
+			cold, coldErr := maxAdmissibleRate(g, d, sla, false)
 			if (warmErr == nil) != (coldErr == nil) {
 				t.Fatalf("d=%v sla=%g: warm err %v, cold err %v", d, sla, warmErr, coldErr)
 			}

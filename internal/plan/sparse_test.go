@@ -1,9 +1,9 @@
 package plan
 
 import (
+	"math"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/queueing"
 )
@@ -21,44 +21,51 @@ func bigFleet() *model.Group {
 	return &model.Group{Servers: servers, TaskSize: 1.0}
 }
 
-// TestMaxAdmissibleRateSparseBitIdentical pins that routing the
-// admission bisection through the sparse compact-result solve returns
-// the bit-identical frontier of the dense path: each probe consumes
-// only T′, and the sparse T′ differs from the dense one by strictly
-// less than the probes' decision margins at these SLAs.
+// TestMaxAdmissibleRateSparseBitIdentical pins the admission frontier of
+// the clustered fleet bit for bit. The literals were captured when
+// dense and class-clustered solves were still two evaluators (and
+// agreed); every probe of the bisection consumes a solve's T′, so a
+// change to the last bits of any probe's T′ can move the frontier.
 func TestMaxAdmissibleRateSparseBitIdentical(t *testing.T) {
 	g := bigFleet()
-	for _, d := range []queueing.Discipline{queueing.FCFS, queueing.Priority} {
-		for _, sla := range []float64{1.0, 1.5, 3.0} {
-			dense, err := MaxAdmissibleRate(g, d, sla)
+	want := map[queueing.Discipline]map[float64]uint64{
+		queueing.FCFS:     {1.0: 0x409953dab91f1a48, 1.5: 0x409cbbad90a90740, 3.0: 0x409eca76f6ab0928},
+		queueing.Priority: {1.0: 0x4097d9b0bacedf3f, 1.5: 0x409bb1ce5a03401c, 3.0: 0x409e4417dbb687eb},
+	}
+	for d, bySLA := range want {
+		for sla, bits := range bySLA {
+			got, err := MaxAdmissibleRate(g, d, sla)
 			if err != nil {
-				t.Fatalf("%v sla=%g: dense: %v", d, sla, err)
+				t.Fatalf("%v sla=%g: %v", d, sla, err)
 			}
-			sparse, err := MaxAdmissibleRateOpts(g, sla, core.Options{Discipline: d, Sparse: true})
-			if err != nil {
-				t.Fatalf("%v sla=%g: sparse: %v", d, sla, err)
-			}
-			if dense != sparse { //bladelint:allow floateq -- bit-identity pin, not a tolerance check
-				t.Errorf("%v sla=%g: dense frontier %.17g, sparse %.17g", d, sla, dense, sparse)
+			if math.Float64bits(got) != bits {
+				t.Errorf("%v sla=%g: frontier %#016x (%.17g), want %#016x (%.17g)",
+					d, sla, math.Float64bits(got), got, bits, math.Float64frombits(bits))
 			}
 		}
 	}
 }
 
-// TestMinSpeedScaleSparseMatches covers the other option-threaded
-// planning entry point at fleet scale.
+// TestMinSpeedScaleSparseMatches pins the speed-refresh search on the
+// same fleet at 0.6 of saturation, from an SLA it already meets (0.9)
+// to ones that need a refresh, captured like the frontier above.
 func TestMinSpeedScaleSparseMatches(t *testing.T) {
 	g := bigFleet()
 	lambda := 0.6 * g.MaxGenericRate()
-	dense, err := MinSpeedScale(g, queueing.FCFS, lambda, 0.9, 8)
-	if err != nil {
-		t.Fatal(err)
+	want := map[queueing.Discipline]map[float64]uint64{
+		queueing.FCFS:     {0.9: 0x3ff0000000000000, 0.7: 0x3ff162b167e00000, 0.5: 0x3ff6b17f93e00000},
+		queueing.Priority: {0.9: 0x3ff0000000000000, 0.7: 0x3ff1c5d0b4e00000, 0.5: 0x3ff718ed09600000},
 	}
-	sparse, err := MinSpeedScaleOpts(g, lambda, 0.9, 8, core.Options{Sparse: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dense != sparse { //bladelint:allow floateq -- bit-identity pin, not a tolerance check
-		t.Errorf("dense scale %.17g, sparse %.17g", dense, sparse)
+	for d, bySLA := range want {
+		for sla, bits := range bySLA {
+			got, err := MinSpeedScale(g, d, lambda, sla, 8)
+			if err != nil {
+				t.Fatalf("%v sla=%g: %v", d, sla, err)
+			}
+			if math.Float64bits(got) != bits {
+				t.Errorf("%v sla=%g: scale %#016x (%.17g), want %#016x (%.17g)",
+					d, sla, math.Float64bits(got), got, bits, math.Float64frombits(bits))
+			}
+		}
 	}
 }

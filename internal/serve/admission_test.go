@@ -70,7 +70,7 @@ func TestPostPlanCeilingIsCores(t *testing.T) {
 // With tripped set, breakers are on and one operator-up station's
 // breaker is held open, so it serves no share.
 func ceilingIsCores(t *testing.T, g *model.Group, rhoCap float64, tripped bool, rng *rand.Rand) {
-	opts := core.Options{Discipline: queueing.FCFS, Sparse: true, MaxUtilization: rhoCap}
+	opts := core.Options{Discipline: queueing.FCFS, MaxUtilization: rhoCap}
 	s, err := New(Config{
 		Group: g, Lambda: 0.2 * g.MaxGenericRate(), Opts: opts,
 		Window: time.Hour, MinResolveInterval: time.Hour,

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	randv2 "math/rand/v2"
 	"net/http"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/dispatch"
@@ -191,89 +189,6 @@ func (s *Server) decideChunkExact(dst []Decision, start time.Time, plan *Plan, r
 	if gates > 0 {
 		s.m.observeLatencyN(s.now().Sub(start).Seconds(), gates, randv2.Uint64())
 	}
-}
-
-// coalescer groups concurrent single-shot dispatch requests into
-// DecideBatch calls — the bladed-side mechanism that turns independent
-// HTTP requests into batches without clients having to batch
-// themselves. Protocol: the first arrival under contention becomes the
-// batch leader, opens a group, and waits up to linger (or until the
-// group fills) for joiners; joiners take a slot and block on the
-// group's completion. The leader then detaches the group, decides the
-// whole batch in one DecideBatch, and wakes the joiners.
-//
-// Low-QPS fallback: when fewer than two requests are in flight there is
-// nobody to coalesce with, so the request takes the single-shot path
-// immediately — batching must never ADD latency when there is no
-// contention to amortize (DESIGN.md §16 quantifies when batching
-// loses).
-type coalescer struct {
-	s      *Server
-	max    int
-	linger time.Duration
-	// inflight counts requests inside decide; it gates the low-QPS
-	// fallback before any lock is touched.
-	inflight atomic.Int64
-	mu       sync.Mutex // guards cur
-	cur      *batchGroup
-}
-
-// batchGroup is one forming batch. n and the group pointer are guarded
-// by the coalescer mutex; out[slot] is handed off to each joiner by the
-// done close (the leader's writes happen-before it).
-type batchGroup struct {
-	full chan struct{} // closed when the group reaches max
-	done chan struct{} // closed when the batch has been decided
-	n    int
-	out  []Decision
-}
-
-// decide is the coalescing dispatch entry point.
-func (c *coalescer) decide() Decision {
-	c.inflight.Add(1)
-	defer c.inflight.Add(-1)
-	if c.inflight.Load() < 2 {
-		return c.s.Decide()
-	}
-	c.mu.Lock()
-	if g := c.cur; g != nil {
-		// Joiner: take a slot and wait for the leader's batch.
-		slot := g.n
-		g.n++
-		if g.n == c.max {
-			c.cur = nil
-			close(g.full)
-		}
-		c.mu.Unlock()
-		<-g.done
-		return g.out[slot]
-	}
-	// Leader: open a group (slot 0), linger for joiners, decide.
-	g := &batchGroup{
-		full: make(chan struct{}),
-		done: make(chan struct{}),
-		n:    1,
-		out:  make([]Decision, c.max),
-	}
-	c.cur = g
-	c.mu.Unlock()
-	t := time.NewTimer(c.linger)
-	select {
-	case <-g.full:
-		t.Stop()
-	case <-t.C:
-	}
-	c.mu.Lock()
-	if c.cur == g {
-		c.cur = nil // stop admitting joiners before reading the count
-	}
-	k := g.n
-	c.mu.Unlock()
-	// Every joiner took its slot under mu before the detach above, so
-	// all slots are < k and the batch covers exactly the joined set.
-	c.s.DecideBatch(g.out[:k])
-	close(g.done)
-	return g.out[0]
 }
 
 // BatchDispatchResponse is the body of a successful

@@ -1,16 +1,12 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"math"
 	"net/http"
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/core"
-	"repro/internal/model"
 )
 
 // decideRounds drives one server through a fixed schedule of decision
@@ -123,7 +119,7 @@ func TestDecideBatchDeterministicSequence(t *testing.T) {
 
 // TestDecideBatchDeterministicSequenceSparse is the same pin on a
 // fleet-scale sparse-picker plan (the PickBatchSparse path): 256
-// stations, light load, sparse solve — the configuration
+// stations at light load — the configuration
 // TestBuildPlanSparsePickerMatchesDense shows trips buildPlan's
 // compact-table gate.
 func TestDecideBatchDeterministicSequenceSparse(t *testing.T) {
@@ -136,7 +132,6 @@ func TestDecideBatchDeterministicSequenceSparse(t *testing.T) {
 		s, err := New(Config{
 			Group:            g,
 			Lambda:           0.05 * g.MaxGenericRate(),
-			Opts:             core.Options{Sparse: true},
 			Logger:           quietLogger(),
 			Seed:             7,
 			DeterministicRNG: true,
@@ -339,83 +334,6 @@ func TestDispatchBatchEndpoint(t *testing.T) {
 		if w := postJSON(t, h, "/v1/dispatch/batch", map[string]int{"count": bad}); w.Code != http.StatusBadRequest {
 			t.Errorf("count %d: got %d, want 400", bad, w.Code)
 		}
-	}
-}
-
-// TestBatchConfigValidation pins the coalescer's config gates: batching
-// is router-mode-only, non-negative, and bounded.
-func TestBatchConfigValidation(t *testing.T) {
-	g := model.LiExample1Group()
-	base := func() Config {
-		return Config{
-			Group:  g,
-			Lambda: 0.5 * g.MaxGenericRate(),
-			Logger: quietLogger(),
-		}
-	}
-	cfg := base()
-	cfg.BatchMax = 8
-	cfg.Backend = func(ctx context.Context, station int) error { return nil }
-	if _, err := New(cfg); err == nil {
-		t.Error("BatchMax with a Backend accepted")
-	}
-	cfg = base()
-	cfg.BatchMax = -1
-	if _, err := New(cfg); err == nil {
-		t.Error("negative BatchMax accepted")
-	}
-	cfg = base()
-	cfg.BatchMax = maxBatchRequest + 1
-	if _, err := New(cfg); err == nil {
-		t.Error("oversized BatchMax accepted")
-	}
-}
-
-// TestCoalescerGroupsConcurrentDispatches drives Dispatch from many
-// concurrent goroutines against a coalescing server: every request gets
-// a valid decision, the exact dispatch counter matches the request
-// count (each request decided once, no loss, no double-count), and a
-// solitary request takes the single-shot path without waiting out the
-// linger.
-func TestCoalescerGroupsConcurrentDispatches(t *testing.T) {
-	s := newTestServer(t, func(c *Config) {
-		c.BatchMax = 8
-		c.BatchLinger = 200 * time.Microsecond
-		c.Window = time.Hour
-	})
-	if s.coal == nil {
-		t.Fatal("coalescer not constructed for BatchMax > 1")
-	}
-	const requests = 96
-	var wg sync.WaitGroup
-	results := make([]DispatchResult, requests)
-	for i := 0; i < requests; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i] = s.Dispatch(context.Background())
-		}(i)
-	}
-	wg.Wait()
-	for i, r := range results {
-		if r.Rejected || r.Err != nil {
-			t.Fatalf("request %d: rejected=%v err=%v", i, r.Rejected, r.Err)
-		}
-		if r.Station < 0 || r.Station >= s.group.N() {
-			t.Fatalf("request %d: station %d out of range", i, r.Station)
-		}
-	}
-	if got := s.m.dispatchTotal.Load(); got != requests {
-		t.Errorf("dispatch counter %d after %d coalesced requests, want exact match", got, requests)
-	}
-	// Solitary request: no concurrent peer, so the low-QPS fallback must
-	// answer immediately (well under the linger × a wide margin).
-	start := time.Now()
-	if r := s.Dispatch(context.Background()); r.Rejected || r.Err != nil {
-		t.Fatalf("solitary dispatch failed: %+v", r)
-	}
-	if el := time.Since(start); el > 50*time.Millisecond {
-		t.Errorf("solitary dispatch took %v; low-QPS fallback should not linger", el)
 	}
 }
 

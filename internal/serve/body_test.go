@@ -147,7 +147,7 @@ func TestPlanBodyMatchesEncodingJSON(t *testing.T) {
 	checkPlanBody(t, "nil up and ramp", &Plan{Rates: []float64{1, 0}, Utilizations: []float64{0.5, 0}, Policy: "<a&b>"})
 
 	// The plan a 10k-station operator re-plan answers with: the
-	// 56-class signature fleet on the sparse solver, one station down
+	// 56-class signature fleet, one station down
 	// and one ramping back in, under JSQ(2).
 	const n = 10000
 	sizes := make([]int, n)
@@ -167,7 +167,7 @@ func TestPlanBodyMatchesEncodingJSON(t *testing.T) {
 	}
 	up[4321] = false
 	ramp[17] = 0.25
-	opts := core.Options{Discipline: queueing.FCFS, Sparse: true}
+	opts := core.Options{Discipline: queueing.FCFS}
 	p, err := buildPlan(mustFleet(t, g), 0.5*g.MaxGenericRate(), up, opts, 7, time.Unix(1_700_000_000, 0), ramp, 2, newDepthSet(n))
 	if err != nil {
 		t.Fatal(err)
@@ -347,7 +347,7 @@ func TestHealthBlockIsOneRead(t *testing.T) {
 	}
 	s, err := New(Config{
 		Group: g, Lambda: 0.3 * g.MaxGenericRate(),
-		Opts:   core.Options{Discipline: queueing.FCFS, Sparse: true},
+		Opts:   core.Options{Discipline: queueing.FCFS},
 		Window: time.Hour, MinResolveInterval: time.Hour,
 		Breaker: BreakerConfig{ScanInterval: time.Hour}, Logger: quietLogger(),
 	})

@@ -151,14 +151,7 @@ type DispatchResult struct {
 // and optional hedging. Every attempt's outcome is recorded for the
 // failure detector. Without a Backend it degrades to Decide.
 func (s *Server) Dispatch(ctx context.Context) DispatchResult {
-	var d Decision
-	if s.coal != nil {
-		// Router mode with coalescing on (BatchMax excludes Backend):
-		// concurrent dispatches share one batched hot-path pass.
-		d = s.coal.decide()
-	} else {
-		d = s.Decide()
-	}
+	d := s.Decide()
 	res := DispatchResult{Decision: d}
 	if d.Rejected {
 		res.Err = ErrShed

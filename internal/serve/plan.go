@@ -96,11 +96,6 @@ func (p *Plan) PickU(u float64) int {
 // recovery so a readmitted station also loses JSQ comparisons until
 // its ramp completes.
 func buildPlan(fleet *core.Fleet, lambda float64, up []bool, opts core.Options, version int64, now time.Time, ramp []float64, jsqD int, depths *depthSet) (*Plan, error) {
-	// The plan's JSON view and the breaker bookkeeping are dense, so a
-	// sparse solve must still materialize Rates/Utilizations here; the
-	// compact allocation is used below for the picker's cumulative
-	// table instead.
-	opts.CompactResult = false
 	res, err := fleet.OptimizeDegraded(lambda, up, opts)
 	if err != nil {
 		return nil, err
@@ -135,15 +130,15 @@ func buildPlan(fleet *core.Fleet, lambda float64, up []bool, opts core.Options, 
 			rescaled = true
 		}
 	}
-	// With a sparse solve and no ramp rescale, the picker's cumulative
-	// table covers only the loaded stations. Picks are identical to the
-	// dense construction (zero-weight stations have empty intervals
-	// either way, and Kahan-summed zero weights don't perturb the
-	// normalization), so the gate is purely about when the compact table
-	// is worth its index indirection: a fleet large enough to matter and
-	// an allocation at most half full.
+	// Without a ramp rescale, the picker's cumulative table can cover
+	// only the loaded stations (the solve's compact allocation). Picks
+	// are identical to the dense construction (zero-weight stations have
+	// empty intervals either way, and Kahan-summed zero weights don't
+	// perturb the normalization), so the gate is purely about when the
+	// compact table is worth its index indirection: a fleet large enough
+	// to matter and an allocation at most half full.
 	var picker *dispatch.Probabilistic
-	if sp := res.Sparse; sp != nil && !rescaled && len(rates) >= 64 && 2*sp.NNZ() <= len(rates) {
+	if sp := res.Sparse; !rescaled && len(rates) >= 64 && 2*sp.NNZ() <= len(rates) {
 		picker, err = dispatch.NewProbabilisticSparse(len(rates), sp.Index, sp.Rate)
 	} else {
 		picker, err = dispatch.NewProbabilistic(rates)

@@ -96,16 +96,6 @@ type Config struct {
 	// (dispatch.MinSampleD–MaxSampleD). Default 2 — JSQ(2), the
 	// power-of-two choices policy. Ignored under PolicyStatic.
 	SampleD int
-	// BatchMax, when > 1, enables the request coalescer: concurrent
-	// single-shot dispatches are grouped into DecideBatch calls of up
-	// to this size, amortizing the per-request hot-path overhead. A
-	// request with no concurrent peers always takes the single-shot
-	// path immediately (no added latency at low QPS). Router mode only:
-	// incompatible with Backend.
-	BatchMax int
-	// BatchLinger bounds how long a coalescing leader waits for peers
-	// to join its batch. Default 100µs. Ignored unless BatchMax > 1.
-	BatchLinger time.Duration
 	// Backend, when set, makes Server.Dispatch (and POST /v1/dispatch)
 	// execute each admitted request against its routed station through
 	// the guard wrapper instead of only returning a routing decision.
@@ -177,9 +167,6 @@ func (c *Config) withDefaults() {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.BatchMax > 1 && c.BatchLinger <= 0 {
-		c.BatchLinger = 100 * time.Microsecond
-	}
 	c.Guard.withDefaults()
 	c.Breaker.withDefaults()
 }
@@ -215,11 +202,8 @@ type Server struct {
 	breakers *breakerSet
 	guard    guardState
 	backend  Backend
-	// coal groups concurrent single-shot dispatches into DecideBatch
-	// calls (nil unless Config.BatchMax > 1; router mode only).
-	coal    *coalescer
-	scanMu  sync.Mutex // serializes healthScan passes; guards scanVol
-	scanVol []int64    // outcome volume anchor per station (since last transition)
+	scanMu   sync.Mutex // serializes healthScan passes; guards scanVol
+	scanVol  []int64    // outcome volume anchor per station (since last transition)
 
 	mu          sync.Mutex // guards up, lastResolve
 	up          []bool
@@ -270,18 +254,6 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("serve: SampleD %d outside [%d, %d]",
 			cfg.SampleD, dispatch.MinSampleD, dispatch.MaxSampleD)
 	}
-	if cfg.BatchMax < 0 {
-		return nil, fmt.Errorf("serve: BatchMax %d must be non-negative", cfg.BatchMax)
-	}
-	if cfg.BatchMax > 1 && cfg.Backend != nil {
-		// The coalescer batches ROUTING; a Backend makes each dispatch an
-		// executed request whose latency budget is its own, so batching
-		// would couple unrelated requests' deadlines.
-		return nil, fmt.Errorf("serve: BatchMax requires router mode (no Backend)")
-	}
-	if cfg.BatchMax > maxBatchRequest {
-		return nil, fmt.Errorf("serve: BatchMax %d exceeds limit %d", cfg.BatchMax, maxBatchRequest)
-	}
 	s := &Server{
 		cfg:       cfg,
 		group:     group,
@@ -303,9 +275,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Policy == PolicyJSQ {
 		s.depths = newDepthSet(cfg.Group.N())
 		s.jsqD = cfg.SampleD
-	}
-	if cfg.BatchMax > 1 {
-		s.coal = &coalescer{s: s, max: cfg.BatchMax, linger: cfg.BatchLinger}
 	}
 	if cfg.DeterministicRNG {
 		s.rnd = newLockedRand(cfg.Seed)
