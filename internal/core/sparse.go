@@ -80,6 +80,13 @@ type sparseFleet struct {
 	// search copies it out to cache evaluations at the ends of its
 	// bracket, into lo and hi (newSolution).
 	scratch, lo, hi []float64
+	// slopes holds a probe's positive per-class F′ terms when every
+	// class has one survivor (singles), the case of a group of distinct
+	// stations such as Example 1: F and F′ are then plain sums of
+	// per-class values, which numeric.SumExact rounds correctly on its
+	// fast path in a few float operations per term.
+	slopes  []float64
+	singles bool
 	// bisect, when non-nil, is the inner solve in place of the class
 	// solvers' Newton iteration: the paper's bisection, the oracle.
 	bisect func(s model.Server, phi float64) float64
@@ -122,7 +129,7 @@ func newSparseFleet(f *Fleet, counts []int, newSolver func(s model.Server) stati
 		return cmp.Compare(a.id, b.id)
 	})
 	k := len(classes)
-	buf := make([]float64, 4*k)
+	buf := make([]float64, 5*k)
 	sf := &sparseFleet{
 		f:       f,
 		classes: classes,
@@ -130,11 +137,14 @@ func newSparseFleet(f *Fleet, counts []int, newSolver func(s model.Server) stati
 		lo:      buf[k : 2*k : 2*k],
 		hi:      buf[2*k : 3*k : 3*k],
 		entries: buf[3*k : 3*k : 4*k],
+		slopes:  buf[4*k : 4*k : 5*k],
+		singles: true,
 		bisect:  bisect,
 	}
 	var maxRate numeric.ExactSum
 	for c := range classes {
 		cl := &classes[c]
+		sf.singles = sf.singles && cl.count == 1
 		if r := cl.solver.maxRate; r > 0 {
 			maxRate.AddMul(cl.count, r)
 		}
@@ -170,7 +180,6 @@ func (sf *sparseFleet) ratesAt(phi float64) (float64, float64) {
 		rates[c] = 0
 		sf.classes[c].solver.dlam = 0
 	}
-	var sum, slope numeric.ExactSum
 	for c := 0; c < active; c++ {
 		cl := &sf.classes[c]
 		if sf.bisect != nil {
@@ -178,8 +187,22 @@ func (sf *sparseFleet) ratesAt(phi float64) (float64, float64) {
 		} else {
 			rates[c] = cl.solver.findRate(phi)
 		}
+	}
+	if sf.singles {
+		slopes := sf.slopes[:0]
+		for c := 0; c < active; c++ {
+			if d := sf.classes[c].solver.dlam; d > 0 { // never set under bisect
+				slopes = append(slopes, d)
+			}
+		}
+		// The same correctly rounded sums as the ExactSums below.
+		return numeric.SumExact(rates[:active]), numeric.SumExact(slopes)
+	}
+	var sum, slope numeric.ExactSum
+	for c := 0; c < active; c++ {
+		cl := &sf.classes[c]
 		sum.AddMul(cl.count, rates[c])
-		if d := cl.solver.dlam; d > 0 { // never set under bisect
+		if d := cl.solver.dlam; d > 0 {
 			slope.AddMul(cl.count, d)
 		}
 	}

@@ -2,7 +2,7 @@ package sim
 
 import "math/rand"
 
-// StationView is the dispatcher-visible snapshot of one station at a
+// StationView is the dispatcher-visible state of one station at a
 // generic-task arrival instant.
 type StationView struct {
 	// Index identifies the station (0-based).
@@ -27,13 +27,18 @@ type StationView struct {
 }
 
 // Dispatcher routes each arriving generic task to a station. Pick is
-// called once per generic arrival with fresh views; it must return a
-// valid station index. Implementations must be deterministic given the
-// supplied rng.
+// called once per generic arrival with views that are current at that
+// instant; it must return a valid station index. The views are
+// read-only: the simulator keeps one slice for the whole run and
+// refreshes only the station each event changes, so an entry Pick
+// modifies stays wrong for later picks. A policy that needs scratch
+// state copies the views (dispatch.Batched does). Implementations must
+// be deterministic given the supplied rng.
 type Dispatcher interface {
 	// Name identifies the policy in reports.
 	Name() string
-	// Pick selects the station for the arriving task.
+	// Pick selects the station for the arriving task. It must not
+	// modify views.
 	Pick(views []StationView, rng *rand.Rand) int
 }
 

@@ -255,21 +255,7 @@ func Run(cfg Config) (*RunResult, error) {
 		}
 		res.GenericHistogram = h
 	}
-	views := make([]StationView, n)
-	refreshViews := func() {
-		for i, st := range stations {
-			views[i] = StationView{
-				Index:           i,
-				Blades:          st.blades,
-				Speed:           st.speed,
-				ServiceMean:     g.TaskSize / st.speed,
-				Busy:            st.busy,
-				QueueLen:        st.queueLen(),
-				AvailableBlades: st.available(),
-				Up:              st.available() > 0,
-			}
-		}
-	}
+	views := newViews(stations, g.TaskSize)
 	fullyDown := 0 // stations with zero available blades
 
 	// dispatchGeneric routes t through the dispatcher and places it. A
@@ -280,7 +266,6 @@ func Run(cfg Config) (*RunResult, error) {
 	// re-dispatch after a capped exponential backoff and give up (lost)
 	// after MaxAttempts. A full bounded waiting room always drops.
 	dispatchGeneric := func(t task, now float64, attempt int) error {
-		refreshViews()
 		target := cfg.Dispatcher.Pick(views, rng)
 		if target < 0 || target >= n {
 			return fmt.Errorf("sim: dispatcher %q picked invalid station %d", cfg.Dispatcher.Name(), target)
@@ -314,6 +299,7 @@ func Run(cfg Config) (*RunResult, error) {
 			}
 		}
 		st.admit(t, now, cal)
+		st.refresh(&views[target])
 		return nil
 	}
 
@@ -358,11 +344,13 @@ func Run(cfg Config) (*RunResult, error) {
 				continue
 			}
 			st.admit(t, now, cal)
+			st.refresh(&views[ev.station])
 
 		case evFailure:
 			st := stations[ev.station]
 			wasFull := st.available() == 0
 			out := st.setDown(ev.down, now, cal, cfg.FailurePolicy == DropInFlight)
+			st.refresh(&views[ev.station])
 			if now >= cfg.Warmup {
 				res.RequeuedGeneric += int64(out.requeuedGeneric)
 				res.RequeuedSpecial += int64(out.requeuedSpecial)
@@ -382,6 +370,7 @@ func Run(cfg Config) (*RunResult, error) {
 			if !st.depart(now, cal, ev.id) {
 				continue // stale: task was evicted by a failure
 			}
+			st.refresh(&views[ev.station])
 			if ev.task.arrival >= cfg.Warmup {
 				resp := now - ev.task.arrival
 				if ev.task.class == Generic {

@@ -49,87 +49,133 @@ type event struct {
 	id      uint64 // service id (departures), see station.active
 	down    int    // new down-blade count (failures)
 	attempt int    // retries already performed (retry events)
-	seq     uint64 // FIFO tie-break for equal times
 }
 
-// eventHeap is a min-heap on (time, seq), hand-rolled on the concrete
-// event type. container/heap's interface{}-based Push and Pop box every
-// event on the heap's way in AND out — two allocations per event, which
-// at simulator rates (millions of events per run) dominated the entire
-// allocation profile. The sift routines below keep events in the
-// backing slice, so scheduling is allocation-free once the slice has
-// grown to the run's working set. The (time, seq) key is a strict total
-// order (seq is unique), so any correct heap pops events in exactly the
-// same sequence as the old container/heap code — run results are
-// bit-for-bit unchanged.
-type eventHeap []event
+// entry is what the calendar's heap orders: an event's (time, seq) key
+// and the slab slot that holds the event itself. At 24 bytes against
+// the event's 80, a sift step moves a third of the memory, and the
+// event is written once when scheduled and never moved after.
+type entry struct {
+	time float64
+	seq  uint64 // FIFO tie-break for equal times
+	slot int
+}
 
-func (h eventHeap) less(i, j int) bool {
-	if h[i].time != h[j].time { //bladelint:allow floateq -- heap order must be exact and total for replay determinism; tolerance breaks transitivity
-		return h[i].time < h[j].time
+// before is the calendar's order. (time, seq) is a strict total order
+// (seq is unique), so any correct heap pops events in exactly one
+// sequence: changing the heap's shape or arity cannot change a run.
+func (a entry) before(b entry) bool {
+	if a.time != b.time { //bladelint:allow floateq -- heap order must be exact and total for replay determinism; tolerance breaks transitivity
+		return a.time < b.time
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
 
-func (h eventHeap) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-}
+// calendarCap pre-sizes the heap, the slab and the free list. Without
+// failures a run holds at most one generic arrival, one special arrival
+// per station and one departure per blade, 64 events on Example 1, so
+// none of the three grows unless failure transitions, all scheduled at
+// start-up, run into the thousands.
+const calendarCap = 1024
 
-func (h eventHeap) down(i int) {
-	n := len(h)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		min := l
-		if r := l + 1; r < n && h.less(r, l) {
-			min = r
-		}
-		if !h.less(min, i) {
-			return
-		}
-		h[i], h[min] = h[min], h[i]
-		i = min
-	}
-}
-
-// calendar wraps the heap with sequence numbering.
+// calendar is the future-event list: a binary min-heap of entries over
+// a slab of events with a free list of slots. It is hand-rolled on
+// concrete types because container/heap's interface{}-based Push and
+// Pop box every element on the way in and out, which at simulator
+// rates dominated the allocation profile.
 type calendar struct {
-	h   eventHeap
-	seq uint64
+	h    []entry
+	slab []event
+	free []int
+	// held is the slot of the event the last next returned, or -1. It
+	// joins the free list at the following next, so the caller may
+	// schedule events while it still reads the one it popped.
+	held int
+	seq  uint64
 }
 
 func newCalendar() *calendar {
-	return &calendar{h: make(eventHeap, 0, 1024)}
+	return &calendar{
+		h:    make([]entry, 0, calendarCap),
+		slab: make([]event, 0, calendarCap),
+		free: make([]int, 0, calendarCap),
+		held: -1,
+	}
 }
 
 func (c *calendar) schedule(e event) {
-	e.seq = c.seq
+	var slot int
+	if k := len(c.free); k > 0 {
+		slot = c.free[k-1]
+		c.free = c.free[:k-1]
+		c.slab[slot] = e
+	} else {
+		slot = len(c.slab)
+		c.slab = append(c.slab, e)
+	}
+	c.h = append(c.h, entry{})
+	c.up(len(c.h)-1, entry{time: e.time, seq: c.seq, slot: slot})
 	c.seq++
-	c.h = append(c.h, e)
-	c.h.up(len(c.h) - 1)
 }
 
-func (c *calendar) next() (event, bool) {
-	if len(c.h) == 0 {
-		return event{}, false
+// next removes the earliest event and returns a pointer to it in the
+// slab. The pointer stays valid until the following next: the slot is
+// not reused before then, and an append that moves the slab to a new
+// array leaves the old array, which the pointer still reads, intact.
+func (c *calendar) next() (*event, bool) {
+	if c.held >= 0 {
+		c.free = append(c.free, c.held)
+		c.held = -1
 	}
-	e := c.h[0]
+	if len(c.h) == 0 {
+		return nil, false
+	}
+	top := c.h[0]
 	last := len(c.h) - 1
-	c.h[0] = c.h[last]
+	x := c.h[last]
 	c.h = c.h[:last]
 	if last > 0 {
-		c.h.down(0)
+		c.down(0, x)
 	}
-	return e, true
+	c.held = top.slot
+	return &c.slab[top.slot], true
+}
+
+// up moves x from the hole at i towards the root, shifting each parent
+// it passes down into the hole, and stores x where the hole stops.
+func (c *calendar) up(i int, x entry) {
+	h := c.h
+	for i > 0 {
+		p := (i - 1) / 2
+		if !x.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = x
+}
+
+// down moves the hole at i towards the leaves, shifting the earlier
+// child up into it each step, and stores x where the hole stops.
+func (c *calendar) down(i int, x entry) {
+	h := c.h
+	n := len(h)
+	for {
+		m := 2*i + 1
+		if m >= n {
+			break
+		}
+		if r := m + 1; r < n && h[r].before(h[m]) {
+			m = r
+		}
+		if !h[m].before(x) {
+			break
+		}
+		h[i] = h[m]
+		i = m
+	}
+	h[i] = x
 }
 
 func (c *calendar) empty() bool { return len(c.h) == 0 }

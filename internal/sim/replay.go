@@ -80,7 +80,7 @@ func Replay(cfg ReplayConfig) (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	views := make([]StationView, n)
+	views := newViews(stations, g.TaskSize)
 
 	next := 0 // index into trace arrivals
 	arrivals := cfg.Trace.Arrivals
@@ -95,6 +95,7 @@ func Replay(cfg ReplayConfig) (*RunResult, error) {
 			}
 			dep, _ := cal.next()
 			handleDeparture(dep, stations, cal, res, p95, cfg.Warmup)
+			stations[dep.station].refresh(&views[dep.station])
 			continue
 		}
 
@@ -105,14 +106,6 @@ func Replay(cfg ReplayConfig) (*RunResult, error) {
 		target := a.Station
 		if a.IsGeneric() {
 			t.class = Generic
-			for i, st := range stations {
-				views[i] = StationView{
-					Index: i, Blades: st.blades, Speed: st.speed,
-					ServiceMean: g.TaskSize / st.speed,
-					Busy:        st.busy, QueueLen: st.queueLen(),
-					AvailableBlades: st.available(), Up: true,
-				}
-			}
 			target = cfg.Dispatcher.Pick(views, rng)
 			if target < 0 || target >= n {
 				return nil, fmt.Errorf("sim: dispatcher %q picked invalid station %d", cfg.Dispatcher.Name(), target)
@@ -127,6 +120,7 @@ func Replay(cfg ReplayConfig) (*RunResult, error) {
 			}
 		}
 		stations[target].admit(t, now, cal)
+		stations[target].refresh(&views[target])
 	}
 	for i, st := range stations {
 		res.Utilizations[i] = st.utilization(cfg.Trace.Horizon)
@@ -138,7 +132,7 @@ func Replay(cfg ReplayConfig) (*RunResult, error) {
 
 // handleDeparture processes one departure event and records statistics
 // for post-warmup tasks that finish within the horizon.
-func handleDeparture(ev event, stations []*station, cal *calendar, res *RunResult, p95 *metrics.P2Quantile, warmup float64) {
+func handleDeparture(ev *event, stations []*station, cal *calendar, res *RunResult, p95 *metrics.P2Quantile, warmup float64) {
 	st := stations[ev.station]
 	if !st.depart(ev.time, cal, ev.id) {
 		return // stale event (only possible with failure injection)

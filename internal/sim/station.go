@@ -47,6 +47,28 @@ func (s *station) available() int {
 // queueLen returns the number of waiting tasks of both classes.
 func (s *station) queueLen() int { return s.generics.len() + s.specials.len() }
 
+// refresh copies into v the station state that events change. Every
+// event changes at most the station it names, so the engines refresh
+// that station's view after the event and the views stay current for
+// the next Pick without rebuilding the others.
+func (s *station) refresh(v *StationView) {
+	v.Busy = s.busy
+	v.QueueLen = s.queueLen()
+	v.AvailableBlades = s.available()
+	v.Up = v.AvailableBlades > 0
+}
+
+// newViews returns the dispatcher views of stations in their current
+// state; taskSize is the mean requirement r̄.
+func newViews(stations []*station, taskSize float64) []StationView {
+	views := make([]StationView, len(stations))
+	for i, st := range stations {
+		views[i] = StationView{Index: i, Blades: st.blades, Speed: st.speed, ServiceMean: taskSize / st.speed}
+		st.refresh(&views[i])
+	}
+	return views
+}
+
 // accrue advances the busy-time integral to time now.
 func (s *station) accrue(now float64) {
 	s.busyIntegral += float64(s.busy) * (now - s.lastChange)

@@ -1,7 +1,11 @@
 package spec
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -63,34 +67,37 @@ func TestFailurePlanFromSpec(t *testing.T) {
 	}
 }
 
+// parseSeeds is the seed corpus of both fuzz targets on Parse.
+var parseSeeds = []string{
+	`{"servers":[{"size":1,"speed":1}]}`,
+	`{"name":"x","task_size":0.5,"servers":[{"size":2,"speed":2,"special_rate":1},{"size":8,"speed":1,"preload_fraction":0.25}]}`,
+	`{"task_size":1e308,"servers":[{"size":9007199254740993,"speed":1e308}]}`,
+	`{"task_size":5e-324,"servers":[{"size":1,"speed":1e308}]}`,
+	`{"servers":[{"size":1,"speed":1,"preload_fraction":0.999999}]}`,
+	`{"servers":[{"size":1,"speed":1,"special_rate":1e309}]}`,
+	`{"servers":[{"size":1,"speed":1,"mtbf":100,"mttr":5}]}`,
+	`{"servers":[{"size":4,"speed":1,"mtbf":100,"mttr":5,"fail_blades":2}]}`,
+	`{"servers":[{"size":1,"speed":1,"mtbf":-1,"mttr":5}]}`,
+	`{"servers":[{"size":1,"speed":1,"fail_blades":3}]}`,
+	`{"servers":[]}`,
+	`{"servers":[{"size":-1,"speed":1}]}`,
+	`{"servers":[{"size":1,"speed":0}]}`,
+	`{"servers":[{"size":1,"speed":-0.0}]}`,
+	`{"task_size":-0.0,"servers":[{"size":1,"speed":1}]}`,
+	`[1,2,3]`,
+	`{nope`,
+	`{"task_size":"NaN","servers":[{"size":1,"speed":1}]}`,
+	`{"servers":[{"size":1e999,"speed":1}]}`,
+	`{"servers":[{"size":1,"speed":1}]} {"servers":[{"size":9,"speed":9}]}`,
+	``,
+}
+
 // FuzzParse hammers the operator-facing JSON surface: whatever bytes
 // arrive, Parse and Build must return an error or a valid group —
 // never panic, and never hand the optimizer a group with non-finite
 // parameters or non-finite derived capacity.
 func FuzzParse(f *testing.F) {
-	seeds := []string{
-		`{"servers":[{"size":1,"speed":1}]}`,
-		`{"name":"x","task_size":0.5,"servers":[{"size":2,"speed":2,"special_rate":1},{"size":8,"speed":1,"preload_fraction":0.25}]}`,
-		`{"task_size":1e308,"servers":[{"size":9007199254740993,"speed":1e308}]}`,
-		`{"task_size":5e-324,"servers":[{"size":1,"speed":1e308}]}`,
-		`{"servers":[{"size":1,"speed":1,"preload_fraction":0.999999}]}`,
-		`{"servers":[{"size":1,"speed":1,"special_rate":1e309}]}`,
-		`{"servers":[{"size":1,"speed":1,"mtbf":100,"mttr":5}]}`,
-		`{"servers":[{"size":4,"speed":1,"mtbf":100,"mttr":5,"fail_blades":2}]}`,
-		`{"servers":[{"size":1,"speed":1,"mtbf":-1,"mttr":5}]}`,
-		`{"servers":[{"size":1,"speed":1,"fail_blades":3}]}`,
-		`{"servers":[]}`,
-		`{"servers":[{"size":-1,"speed":1}]}`,
-		`{"servers":[{"size":1,"speed":0}]}`,
-		`{"servers":[{"size":1,"speed":-0.0}]}`,
-		`{"task_size":-0.0,"servers":[{"size":1,"speed":1}]}`,
-		`[1,2,3]`,
-		`{nope`,
-		`{"task_size":"NaN","servers":[{"size":1,"speed":1}]}`,
-		`{"servers":[{"size":1e999,"speed":1}]}`,
-		``,
-	}
-	for _, s := range seeds {
+	for _, s := range parseSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, doc string) {
@@ -130,5 +137,44 @@ func FuzzParse(f *testing.F) {
 			}
 		}
 		_ = c.Warnings()
+	})
+}
+
+// FuzzParseRoundTrip is the save/load check of the spec surface: a spec
+// Parse accepts, written back with json.Marshal and parsed again, must
+// build the same group, or fail Build with the same error, and carry
+// the same failure plan. Marshalling the re-parsed spec must give the
+// same bytes again.
+func FuzzParseRoundTrip(f *testing.F) {
+	for _, s := range parseSeeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, doc string) {
+		c, err := Parse(strings.NewReader(doc))
+		if err != nil {
+			return
+		}
+		saved, err := json.Marshal(c)
+		if err != nil {
+			t.Fatalf("Marshal of parsed spec %q: %v", doc, err)
+		}
+		c2, err := Parse(bytes.NewReader(saved))
+		if err != nil {
+			t.Fatalf("Parse rejects its own output %s (from %q): %v", saved, doc, err)
+		}
+		if again, err := json.Marshal(c2); err != nil || !bytes.Equal(again, saved) {
+			t.Fatalf("second save %s (err %v) differs from first %s", again, err, saved)
+		}
+		g, err := c.Build()
+		g2, err2 := c2.Build()
+		if fmt.Sprint(err) != fmt.Sprint(err2) {
+			t.Fatalf("Build error %v after round trip, %v before (%q → %s)", err2, err, doc, saved)
+		}
+		if !reflect.DeepEqual(g, g2) {
+			t.Fatalf("round trip changed the group: %+v → %+v (%q → %s)", g, g2, doc, saved)
+		}
+		if err == nil && !reflect.DeepEqual(c.FailurePlan(), c2.FailurePlan()) {
+			t.Fatalf("round trip changed the failure plan: %+v → %+v (%q → %s)", c.FailurePlan(), c2.FailurePlan(), doc, saved)
+		}
 	})
 }

@@ -60,13 +60,17 @@ type ClusterSpec struct {
 }
 
 // Parse decodes a JSON cluster spec, rejecting unknown fields so typos
-// surface instead of silently defaulting.
+// surface instead of silently defaulting, and anything but white space
+// after the spec, such as a second spec pasted into the same file.
 func Parse(r io.Reader) (*ClusterSpec, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var s ClusterSpec
 	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("spec: decoding: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("spec: data after the cluster spec")
 	}
 	return &s, nil
 }

@@ -45,6 +45,18 @@ func TestParseRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+func TestParseRejectsTrailingData(t *testing.T) {
+	spec := `{"servers":[{"size":1,"speed":1}]}`
+	for _, tail := range []string{` {"servers":[{"size":9,"speed":9}]}`, ` trailing`, `]`} {
+		if _, err := Parse(strings.NewReader(spec + tail)); err == nil {
+			t.Errorf("Parse accepted %q after the spec", tail)
+		}
+	}
+	if _, err := Parse(strings.NewReader(spec + " \n\t")); err != nil {
+		t.Errorf("trailing white space rejected: %v", err)
+	}
+}
+
 func TestBuildDefaultsTaskSize(t *testing.T) {
 	s := &ClusterSpec{Servers: []ServerSpec{{Size: 1, Speed: 1}}}
 	g, err := s.Build()
