@@ -195,7 +195,7 @@ func BenchmarkOptimizeN10kLowLoad(b *testing.B) {
 // made as serve's buildPlan makes it: the 10,000-station signatureFleet
 // indexed once by core.NewFleet, warm-started from the previous solve's
 // φ, with λ′ cycling through 0.3–0.7 of saturation and station 4321
-// down on every other op.
+// down, in a tally counted once, on every other op.
 func BenchmarkOptimizeDegradedN10k(b *testing.B) {
 	g := signatureFleet(b, 10000)
 	fleet, err := core.NewFleet(g)
@@ -204,11 +204,15 @@ func BenchmarkOptimizeDegradedN10k(b *testing.B) {
 	}
 	sat := g.MaxGenericRate()
 	fracs := []float64{0.3, 0.4, 0.5, 0.6, 0.7}
-	down := make([]bool, g.N())
-	for i := range down {
-		down[i] = true
+	up := make([]bool, g.N())
+	for i := range up {
+		up[i] = true
 	}
-	down[4321] = false
+	up[4321] = false
+	down, err := fleet.NewTally(up)
+	if err != nil {
+		b.Fatal(err)
+	}
 	opts := core.Options{Discipline: queueing.FCFS}
 	res, err := fleet.OptimizeDegraded(0.5*sat, nil, opts)
 	if err != nil {
@@ -217,12 +221,12 @@ func BenchmarkOptimizeDegradedN10k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var up []bool
+		var t *core.Tally
 		if i%2 == 1 {
-			up = down
+			t = down
 		}
 		opts.WarmPhi = res.Phi
-		if res, err = fleet.OptimizeDegraded(fracs[i%len(fracs)]*sat, up, opts); err != nil {
+		if res, err = fleet.OptimizeDegraded(fracs[i%len(fracs)]*sat, t, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -105,8 +105,10 @@ type Result struct {
 	Discipline queueing.Discipline
 	// TotalRate echoes λ′.
 	TotalRate float64
-	// Sparse is the compact (station, rate) form of the allocation:
-	// the stations with positive rate, ascending.
+	// Sparse is the compact (station, rate) form of the allocation,
+	// the stations with positive rate, ascending, when the allocation
+	// is sparse: at least 64 stations, at most half of them loaded.
+	// Otherwise it is nil, and Rates is the form to use.
 	Sparse *SparseRates
 	// Classes is the number of distinct (size, speed, special-rate)
 	// classes with survivors that the solve ran over.

@@ -16,9 +16,12 @@ const DefaultAdmissionMargin = 1e-3
 // subset of a partially failed group.
 type DegradedResult struct {
 	Result
-	// Up echoes the availability vector the solve was run against.
+	// Up echoes the availability vector the solve was run against:
+	// the caller's vector for the free OptimizeDegraded (nil for nil),
+	// and for Fleet.OptimizeDegraded the tally's, or nil when every
+	// station is up.
 	Up []bool
-	// Survivors is the number of servers carrying load.
+	// Survivors is the number of servers up.
 	Survivors int
 	// Admitted is the generic rate actually distributed; Shed is the
 	// rate admission control had to reject (λ′ − Admitted, ≥ 0). Shed
@@ -40,33 +43,43 @@ type DegradedResult struct {
 // With every server up and no shedding required, the result is
 // identical to Optimize — the degraded path is a strict generalization,
 // guarded by the Table 1/2 regression tests. Like Optimize it indexes g
-// on every call; serve.Server keeps one Fleet for all its re-solves.
+// on every call, and it counts up's survivors per class in the same
+// pass that copies up into the echo; serve.Server keeps one Fleet and
+// one Tally for all its re-solves.
 func OptimizeDegraded(g *model.Group, lambda float64, up []bool, opts Options) (*DegradedResult, error) {
 	f, err := NewFleet(g)
 	if err != nil {
 		return nil, err
 	}
-	return f.OptimizeDegraded(lambda, up, opts)
+	var t *Tally
+	if up != nil {
+		if t, err = f.NewTally(up); err != nil {
+			return nil, err
+		}
+	}
+	res, err := f.OptimizeDegraded(lambda, t, opts)
+	if err != nil {
+		return nil, err
+	}
+	if t != nil {
+		res.Up = t.up // the caller's vector, echoed as given
+	}
+	return res, nil
 }
 
-// OptimizeDegraded re-solves over the stations up; see the free
-// OptimizeDegraded. The availability vector becomes per-class survivor
-// counts in one pass, so nothing is re-validated or re-clustered, and
-// the result is written straight into full-length vectors.
-func (f *Fleet) OptimizeDegraded(lambda float64, up []bool, opts Options) (*DegradedResult, error) {
-	if up != nil && len(up) != f.N() {
-		return nil, fmt.Errorf("core: availability vector has %d entries for %d servers", len(up), f.N())
-	}
+// OptimizeDegraded re-solves over the stations t marks up (every
+// station for t == nil); see the free OptimizeDegraded. It reads t's
+// per-class counts, so nothing is recounted, re-validated or
+// re-clustered, and the result is written straight into full-length
+// vectors. Up is t's own vector, not a copy, or nil when every station
+// is up; t must not change while the result is in use.
+func (f *Fleet) OptimizeDegraded(lambda float64, t *Tally, opts Options) (*DegradedResult, error) {
 	if math.IsNaN(lambda) || lambda <= 0 {
 		return nil, fmt.Errorf("core: total generic rate λ′=%g must be positive", lambda)
 	}
-	counts, survivors := f.survivorCounts(up)
+	counts, up, survivors := f.survivors(t)
 	if survivors == 0 {
 		return nil, fmt.Errorf("core: no surviving servers")
-	}
-	solveUp := up
-	if survivors == f.N() {
-		solveUp = nil // all up: the plain solve's path
 	}
 
 	// Admission control: cap λ′ below the survivors' (possibly
@@ -81,18 +94,15 @@ func (f *Fleet) OptimizeDegraded(lambda float64, up []bool, opts Options) (*Degr
 		shed = lambda - admitted
 	}
 
-	res, err := f.solve(admitted, solveUp, counts, opts)
+	res, err := f.solve(admitted, up, counts, opts)
 	if err != nil {
 		return nil, err
 	}
-	out := &DegradedResult{
+	return &DegradedResult{
 		Result:    *res,
+		Up:        up,
 		Survivors: survivors,
 		Admitted:  admitted,
 		Shed:      shed,
-	}
-	if up != nil {
-		out.Up = append([]bool(nil), up...)
-	}
-	return out, nil
+	}, nil
 }

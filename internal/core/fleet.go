@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/model"
 	"repro/internal/numeric"
@@ -85,22 +86,95 @@ func (f *Fleet) Group() *model.Group { return f.g }
 // N returns the number of stations.
 func (f *Fleet) N() int { return len(f.classOf) }
 
-// survivorCounts returns each class's members that are up (all of them
-// for up == nil, in the Fleet's own read-only counts) and their total.
-// up must be nil or have one entry per station.
-func (f *Fleet) survivorCounts(up []bool) ([]int, int) {
-	if up == nil {
-		return f.counts, len(f.classOf)
+// Tally is an availability vector over a Fleet's stations kept
+// together with its per-class survivor counts, so that a solve reads
+// the counts instead of recounting the vector. A long-lived caller
+// (serve.Server) keeps one, updates it with Set in O(1) per station
+// that changes, and hands each solve a Clone. A Tally is not safe for
+// concurrent use.
+type Tally struct {
+	f  *Fleet
+	up []bool
+	// counts holds each class's members that are up, indexed like the
+	// Fleet's classes, and total their sum.
+	counts []int
+	total  int
+}
+
+// NewTally returns the tally of up over the Fleet's stations, in one
+// pass that copies up: every station is up for up == nil, and
+// otherwise up must have one entry per station.
+func (f *Fleet) NewTally(up []bool) (*Tally, error) {
+	n := f.N()
+	if up != nil && len(up) != n {
+		return nil, fmt.Errorf("core: availability vector has %d entries for %d servers", len(up), n)
 	}
-	counts := make([]int, len(f.classes))
-	total := 0
+	t := &Tally{f: f, up: make([]bool, n), counts: make([]int, len(f.classes))}
+	if up == nil {
+		for i := range t.up {
+			t.up[i] = true
+		}
+		copy(t.counts, f.counts)
+		t.total = n
+		return t, nil
+	}
 	for i, c := range f.classOf {
 		if up[i] {
-			counts[c]++
-			total++
+			t.up[i] = true
+			t.counts[c]++
+			t.total++
 		}
 	}
-	return counts, total
+	return t, nil
+}
+
+// Set marks station i up or down and reports whether that changed it.
+func (t *Tally) Set(i int, up bool) bool {
+	if t.up[i] == up {
+		return false
+	}
+	t.up[i] = up
+	d := 1
+	if !up {
+		d = -1
+	}
+	t.counts[t.f.classOf[i]] += d
+	t.total += d
+	return true
+}
+
+// IsUp reports whether station i is up.
+func (t *Tally) IsUp(i int) bool { return t.up[i] }
+
+// Up returns the availability vector itself, which the caller must not
+// modify.
+func (t *Tally) Up() []bool { return t.up }
+
+// Survivors returns the number of stations up.
+func (t *Tally) Survivors() int { return t.total }
+
+// Clone returns an independent copy of the tally.
+func (t *Tally) Clone() *Tally {
+	c := *t
+	c.up = slices.Clone(t.up)
+	c.counts = slices.Clone(t.counts)
+	return &c
+}
+
+// survivors returns t's per-class counts, the availability vector a
+// solve fans its result out over (nil when every station is up), and
+// the number of stations up; a nil t is every station up. A tally of
+// another Fleet is a caller's bug, and survivors panics on it.
+func (f *Fleet) survivors(t *Tally) ([]int, []bool, int) {
+	switch {
+	case t == nil:
+		return f.counts, nil, f.N()
+	case t.f != f:
+		panic("core: tally of another fleet")
+	case t.total == f.N():
+		return t.counts, nil, t.total
+	}
+	return t.counts, t.up, t.total
 }
 
 // headroom returns Σ counts_c·max(0, rhoCap·capacity_c − λ″_c), summed
@@ -121,13 +195,14 @@ func (f *Fleet) headroom(counts []int, rhoCap float64) float64 {
 }
 
 // AdmissionCeiling is the total generic rate at which admission control
-// starts to shed over the stations up (all for up == nil, otherwise one
-// entry per station): (1 − DefaultAdmissionMargin) times their
-// saturation rate, or their capped rate under Options.MaxUtilization
-// when that is in (0, 1). OptimizeDegraded admits every λ′ below it in
-// full and sheds down to it from any λ′ at or above it.
-func (f *Fleet) AdmissionCeiling(up []bool, opts Options) float64 {
-	counts, _ := f.survivorCounts(up)
+// starts to shed over the stations t marks up (every station for
+// t == nil): (1 − DefaultAdmissionMargin) times their saturation rate,
+// or their capped rate under Options.MaxUtilization when that is in
+// (0, 1). OptimizeDegraded admits every λ′ below it in full and sheds
+// down to it from any λ′ at or above it. It reads t's class counts, so
+// it costs O(classes).
+func (f *Fleet) AdmissionCeiling(t *Tally, opts Options) float64 {
+	counts, _, _ := f.survivors(t)
 	return f.ceiling(counts, opts)
 }
 

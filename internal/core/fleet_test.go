@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/numeric"
 	"repro/internal/queueing"
 )
 
@@ -45,6 +47,20 @@ func sameDegraded(a, b *DegradedResult) string {
 		return fmt.Sprintf("discipline/survivors/up: %v/%d vs %v/%d", a.Discipline, a.Survivors, b.Discipline, b.Survivors)
 	}
 	return ""
+}
+
+// tallyOf returns the fleet's tally of up, nil for nil: a nil tally is
+// every station up.
+func tallyOf(t testing.TB, fleet *Fleet, up []bool) *Tally {
+	t.Helper()
+	if up == nil {
+		return nil
+	}
+	tally, err := fleet.NewTally(up)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tally
 }
 
 // upVectors returns the availability patterns the fleet tests solve
@@ -93,11 +109,12 @@ func TestFleetMatchesDenseBitIdentical(t *testing.T) {
 			for kind, up := range upVectors(rng, fleet) {
 				label := fmt.Sprintf("n=%d/%v/cap=%g/%s", n, d, rhoCap, kind)
 				opts := Options{Discipline: d, MaxUtilization: rhoCap}
-				want, err := unclustered.OptimizeDegraded(lambda, up, opts)
+				want, err := unclustered.OptimizeDegraded(lambda, tallyOf(t, unclustered, up), opts)
 				if err != nil {
 					t.Fatalf("%s: unclustered: %v", label, err)
 				}
-				got, err := fleet.OptimizeDegraded(lambda, up, opts)
+				tally := tallyOf(t, fleet, up)
+				got, err := fleet.OptimizeDegraded(lambda, tally, opts)
 				if err != nil {
 					t.Fatalf("%s: clustered: %v", label, err)
 				}
@@ -105,7 +122,7 @@ func TestFleetMatchesDenseBitIdentical(t *testing.T) {
 					t.Errorf("%s: %s", label, diff)
 				}
 				checkCompact(t, label, &got.Result)
-				if ceiling := fleet.AdmissionCeiling(up, Options{MaxUtilization: rhoCap}); got.Shed > 0 && got.Admitted != ceiling {
+				if ceiling := fleet.AdmissionCeiling(tally, Options{MaxUtilization: rhoCap}); got.Shed > 0 && got.Admitted != ceiling {
 					t.Errorf("%s: shed to %v, admission ceiling %v", label, got.Admitted, ceiling)
 				}
 			}
@@ -125,7 +142,7 @@ func TestFleetReuseIsStateless(t *testing.T) {
 	}
 	ups := upVectors(rng, fleet)
 	opts := Options{Discipline: queueing.FCFS}
-	first, err := fleet.OptimizeDegraded(0.4*g.MaxGenericRate(), ups["random"], opts)
+	first, err := fleet.OptimizeDegraded(0.4*g.MaxGenericRate(), tallyOf(t, fleet, ups["random"]), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,11 +150,11 @@ func TestFleetReuseIsStateless(t *testing.T) {
 	for k, frac := range []float64{0.7, 0.2, 0.55, 0.9, 0.3} {
 		opts.WarmPhi = res.Phi
 		opts.MaxUtilization = 0.9 * float64(k%2)
-		if res, err = fleet.OptimizeDegraded(frac*g.MaxGenericRate(), ups[[]string{"nil", "class down", "single"}[k%3]], opts); err != nil {
+		if res, err = fleet.OptimizeDegraded(frac*g.MaxGenericRate(), tallyOf(t, fleet, ups[[]string{"nil", "class down", "single"}[k%3]]), opts); err != nil {
 			t.Fatal(err)
 		}
 	}
-	again, err := fleet.OptimizeDegraded(0.4*g.MaxGenericRate(), ups["random"], Options{Discipline: queueing.FCFS})
+	again, err := fleet.OptimizeDegraded(0.4*g.MaxGenericRate(), tallyOf(t, fleet, ups["random"]), Options{Discipline: queueing.FCFS})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +175,7 @@ func TestFleetConcurrentSolves(t *testing.T) {
 	}
 	type input struct {
 		lambda float64
-		up     []bool
+		up     *Tally
 		opts   Options
 	}
 	var inputs []input
@@ -168,7 +185,7 @@ func TestFleetConcurrentSolves(t *testing.T) {
 			if kind == "random" {
 				d = queueing.Priority
 			}
-			inputs = append(inputs, input{(0.2 + 0.6*rng.Float64()) * g.MaxGenericRate(), up, Options{Discipline: d, MaxUtilization: rhoCap}})
+			inputs = append(inputs, input{(0.2 + 0.6*rng.Float64()) * g.MaxGenericRate(), tallyOf(t, fleet, up), Options{Discipline: d, MaxUtilization: rhoCap}})
 		}
 	}
 	want := make([]*DegradedResult, len(inputs))
@@ -199,6 +216,122 @@ func TestFleetConcurrentSolves(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestTallyMatchesRecount sets random stations up and down on a tally
+// and requires, after every step, the tally a fresh count of its
+// vector gives; a clone changes independently of its original.
+func TestTallyMatchesRecount(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	fleet, err := NewFleet(clusteredFleet(500, 17))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tally, err := fleet.NewTally(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step := 0; step < 2000; step++ {
+		i, up := rng.Intn(fleet.N()), rng.Intn(3) != 0
+		was := tally.IsUp(i)
+		if changed := tally.Set(i, up); changed != (was != up) {
+			t.Fatalf("step %d: Set(%d, %t) on %t reported changed %t", step, i, up, was, changed)
+		}
+		fresh, err := fleet.NewTally(tally.Up())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(tally, fresh) {
+			t.Fatalf("step %d: kept tally (%d up) differs from a recount (%d up)", step, tally.Survivors(), fresh.Survivors())
+		}
+	}
+	clone := tally.Clone()
+	i := slices.Index(tally.Up(), true)
+	clone.Set(i, false)
+	if !tally.IsUp(i) || tally.Survivors() != clone.Survivors()+1 {
+		t.Errorf("setting a clone's station %d down moved the original", i)
+	}
+	if _, err := fleet.NewTally(make([]bool, 3)); err == nil {
+		t.Error("NewTally accepted a vector of the wrong length")
+	}
+}
+
+// TestOptimizeDegradedEchoesUp pins the availability echo: the Fleet's
+// solve echoes its tally's vector, or nil when every station is up;
+// the free OptimizeDegraded echoes a copy of any vector it is given.
+func TestOptimizeDegradedEchoesUp(t *testing.T) {
+	g := clusteredFleet(200, 9)
+	fleet, err := NewFleet(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lambda := 0.5 * g.MaxGenericRate()
+	all := make([]bool, g.N())
+	for i := range all {
+		all[i] = true
+	}
+	one := slices.Clone(all)
+	one[7] = false
+	for _, tc := range []struct {
+		name string
+		up   []bool
+		echo bool
+	}{{"nil", nil, false}, {"all up", all, false}, {"one down", one, true}} {
+		tally := tallyOf(t, fleet, tc.up)
+		res, err := fleet.OptimizeDegraded(lambda, tally, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Up != nil; got != tc.echo {
+			t.Errorf("%s: Fleet echo present %t, want %t", tc.name, got, tc.echo)
+		}
+		if tc.echo && &res.Up[0] != &tally.Up()[0] {
+			t.Errorf("%s: Fleet echo is not the tally's vector", tc.name)
+		}
+		free, err := OptimizeDegraded(g, lambda, tc.up, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(free.Up, tc.up) || (free.Up == nil) != (tc.up == nil) {
+			t.Errorf("%s: free echo %v, want the vector given", tc.name, free.Up)
+		}
+		if tc.up != nil && &free.Up[0] == &tc.up[0] {
+			t.Errorf("%s: free echo aliases the caller's vector", tc.name)
+		}
+	}
+}
+
+// TestAvgResponseTimeIsExactStationSum checks the per-class T′ total
+// against its definition over the stations one by one: the correctly
+// rounded Σ_i (λ′_i/λ′)·T′_i, with λ′ the correctly rounded Σ_i λ′_i.
+func TestAvgResponseTimeIsExactStationSum(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for trial := 0; trial < 6; trial++ {
+		n := 64 + rng.Intn(2000)
+		g := clusteredFleet(n, 1+rng.Intn(60))
+		fleet, err := NewFleet(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for kind, up := range upVectors(rng, fleet) {
+			d := []queueing.Discipline{queueing.FCFS, queueing.Priority}[trial%2]
+			res, err := fleet.OptimizeDegraded((0.05+0.85*rng.Float64())*g.MaxGenericRate(), tallyOf(t, fleet, up), Options{Discipline: d})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var total, sum numeric.ExactSum
+			total.AddSlice(res.Rates)
+			lambda := total.Value()
+			for i, r := range res.Rates {
+				if r != 0 {
+					sum.Add(r / lambda * res.ResponseTimes[i])
+				}
+			}
+			if got, want := res.AvgResponseTime, sum.Value(); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("n=%d %v %s: T′ %v, station-order exact sum %v", n, d, kind, got, want)
+			}
+		}
+	}
 }
 
 // TestNewFleetClusters checks the index itself: classes in order of

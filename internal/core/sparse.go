@@ -246,14 +246,19 @@ func (sf *sparseFleet) rateOf(classRates []float64) []float64 {
 }
 
 // result freezes the solved class rates into a Result: the full-length
-// Rates, Utilizations and ResponseTimes, and the compact (station,
-// rate) form over fleet station indices. ρ_i and T′_i are functions of
-// a station's signature and rate alone, so each is evaluated once per
-// class and fanned out to the surviving members; a down station (up[i]
-// false) keeps zero rate, utilization and response time. T′ is
-// totalled from the fanned-out slices by model.MeanResponseTime, in
-// station order, so a clustered solve's T′ is the bits of the same
-// solve with one class per station.
+// Rates, Utilizations and ResponseTimes, and, when the allocation is
+// sparse (sparseResult), the compact (station, rate) form over fleet
+// station indices. ρ_i and T′_i are functions of a station's signature
+// and rate alone, so each is evaluated once per class and fanned out to
+// the surviving members; a down station (up[i] false) keeps zero rate,
+// utilization and response time.
+//
+// T′ = Σ_i (λ′_i/λ′)·T′_i is totalled per class, exactly: λ′ is the
+// exact total of the class rates, count × rate, and each class adds
+// count × (λ′_c/λ′)·T′_c, every member's term, to one numeric.ExactSum.
+// The correctly rounded sum has no order, so a clustered solve's T′ is
+// the bits of the same solve with one class per station, as every
+// total of the φ search is.
 func (sf *sparseFleet) result(classRates []float64, phi float64, up []bool, d queueing.Discipline, lambda float64) *Result {
 	f := sf.f
 	n := f.N()
@@ -271,20 +276,24 @@ func (sf *sparseFleet) result(classRates []float64, phi float64, up []bool, d qu
 			nnz += sf.classes[c].count
 		}
 	}
-	sp := &SparseRates{
-		N:     n,
-		Index: make([]int32, 0, nnz),
-		Rate:  make([]float64, 0, nnz),
-	}
 	res := &Result{
-		Rates:         make([]float64, n),
-		Phi:           phi,
-		Utilizations:  make([]float64, n),
-		ResponseTimes: make([]float64, n),
-		Discipline:    d,
-		TotalRate:     lambda,
-		Sparse:        sp,
-		Classes:       len(sf.classes),
+		Rates:           make([]float64, n),
+		Phi:             phi,
+		AvgResponseTime: sf.meanResponseTime(classRates, respOf),
+		Utilizations:    make([]float64, n),
+		ResponseTimes:   make([]float64, n),
+		Discipline:      d,
+		TotalRate:       lambda,
+		Classes:         len(sf.classes),
+	}
+	var sp *SparseRates
+	if sparseResult(n, nnz) {
+		sp = &SparseRates{
+			N:     n,
+			Index: make([]int32, 0, nnz),
+			Rate:  make([]float64, 0, nnz),
+		}
+		res.Sparse = sp
 	}
 	for i, c := range f.classOf {
 		if up != nil && !up[i] {
@@ -294,11 +303,40 @@ func (sf *sparseFleet) result(classRates []float64, phi float64, up []bool, d qu
 		res.Rates[i] = r
 		res.Utilizations[i] = utilOf[c]
 		res.ResponseTimes[i] = respOf[c]
-		if r > 0 {
+		if sp != nil && r > 0 {
 			sp.Index = append(sp.Index, int32(i))
 			sp.Rate = append(sp.Rate, r)
 		}
 	}
-	res.AvgResponseTime = model.MeanResponseTime(res.Rates, res.ResponseTimes)
 	return res
+}
+
+// sparseResult reports whether a result over n stations, nnz of them
+// loaded, carries the compact form: a fleet large enough for the
+// (station, rate) indirection to pay, and an allocation at most half
+// full. Below that the dense Rates are the cheaper form.
+func sparseResult(n, nnz int) bool { return n >= 64 && 2*nnz <= n }
+
+// meanResponseTime totals T′ = Σ_c count_c·(λ′_c/λ′)·T′_c exactly over
+// the classes (see result); respOf is indexed like the Fleet's classes.
+// It is 0 for a zero allocation and +Inf when a loaded class has an
+// infinite response time.
+func (sf *sparseFleet) meanResponseTime(classRates, respOf []float64) float64 {
+	lambda := sf.totalOf(classRates)
+	if lambda == 0 { //bladelint:allow floateq -- exact zero total: nothing is loaded, and it would divide by zero below
+		return 0
+	}
+	var sum numeric.ExactSum
+	for c := range sf.classes {
+		r := classRates[c]
+		if r == 0 { //bladelint:allow floateq -- an exact zero rate contributes nothing
+			continue
+		}
+		t := respOf[sf.classes[c].id]
+		if math.IsInf(t, 1) {
+			return math.Inf(1)
+		}
+		sum.AddMul(sf.classes[c].count, r/lambda*t)
+	}
+	return sum.Value()
 }

@@ -89,12 +89,22 @@ func optimizeUnclustered(g *model.Group, lambda float64, opts Options) (*Result,
 }
 
 // checkCompact checks a result's compact allocation against its Rates:
-// the stations with positive rate, ascending, with the same bits.
+// present exactly when the allocation is sparse, and then the stations
+// with positive rate, ascending, with the same bits.
 func checkCompact(t *testing.T, label string, res *Result) {
 	t.Helper()
+	nnz := 0
+	for _, r := range res.Rates {
+		if r > 0 {
+			nnz++
+		}
+	}
 	sp := res.Sparse
+	if want := sparseResult(len(res.Rates), nnz); (sp != nil) != want {
+		t.Fatalf("%s: compact allocation present %t over %d stations, %d loaded; want %t", label, sp != nil, len(res.Rates), nnz, want)
+	}
 	if sp == nil {
-		t.Fatalf("%s: no compact allocation", label)
+		return
 	}
 	if sp.N != len(res.Rates) || len(sp.Rate) != sp.NNZ() {
 		t.Fatalf("%s: compact N %d, %d rates for %d indices; %d stations", label, sp.N, len(sp.Rate), sp.NNZ(), len(res.Rates))
@@ -216,8 +226,9 @@ func TestSparsePruningDropsSlowStations(t *testing.T) {
 }
 
 // TestSparseDegradedRemap checks OptimizeDegraded maps a survivor
-// allocation back to full-fleet station indices: the compact form lists
-// only stations up, ascending, and carries the admitted rate.
+// allocation back to full-fleet station indices: only stations up
+// carry load, the compact form (when the allocation is sparse) lists
+// them ascending, and the rates carry the admitted rate.
 func TestSparseDegradedRemap(t *testing.T) {
 	g := clusteredFleet(64, 12)
 	up := make([]bool, g.N())
@@ -230,13 +241,13 @@ func TestSparseDegradedRemap(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkCompact(t, "degraded", &res.Result)
-	for _, station := range res.Sparse.Index {
-		if !up[station] {
+	for station, r := range res.Rates {
+		if r != 0 && !up[station] {
 			t.Errorf("down station %d carries load", station)
 		}
 	}
-	if got := numeric.Sum(res.Sparse.Rate); math.Abs(got-res.Admitted) > 1e-9*res.Admitted {
-		t.Errorf("compact Σλ′_i = %.12g, want admitted %.12g", got, res.Admitted)
+	if got := numeric.Sum(res.Rates); math.Abs(got-res.Admitted) > 1e-9*res.Admitted {
+		t.Errorf("Σλ′_i = %.12g, want admitted %.12g", got, res.Admitted)
 	}
 }
 
@@ -252,7 +263,8 @@ func TestSparseDegradedMatchesDenseBitIdentical(t *testing.T) {
 	}
 	lambda := 0.4 * g.MaxGenericRate()
 	for _, d := range []queueing.Discipline{queueing.FCFS, queueing.Priority} {
-		want, err := unclusteredFleet(g).OptimizeDegraded(lambda, up, Options{Discipline: d})
+		unclustered := unclusteredFleet(g)
+		want, err := unclustered.OptimizeDegraded(lambda, tallyOf(t, unclustered, up), Options{Discipline: d})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -81,12 +81,10 @@ func ceilingIsCores(t *testing.T, g *model.Group, rhoCap float64, tripped bool, 
 	}
 	defer s.Close()
 	up := make([]bool, g.N())
-	s.mu.Lock()
 	for i := range up {
 		up[i] = rng.Intn(10) != 0
-		s.up[i] = up[i]
+		s.setOperatorUp(i, up[i])
 	}
-	s.mu.Unlock()
 	if tripped {
 		i := rng.Intn(g.N())
 		for !up[i] {
@@ -94,7 +92,7 @@ func ceilingIsCores(t *testing.T, g *model.Group, rhoCap float64, tripped bool, 
 		}
 		b := &s.breakers.stations[i]
 		b.openUntil.Store(s.now().Add(time.Hour).UnixNano())
-		b.state.Store(breakerOpen)
+		s.breakers.setState(b, breakerOpen)
 		up[i] = false
 	}
 	h := s.Handler()

@@ -80,7 +80,7 @@ func TestDecideBatchDeterministicSequence(t *testing.T) {
 					}
 				})
 				if tc.trial {
-					s.breakers.stations[2].state.Store(breakerHalfOpen)
+					s.breakers.setState(&s.breakers.stations[2], breakerHalfOpen)
 					s.breakers.snapshotTrial()
 				}
 				return s

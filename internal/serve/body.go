@@ -33,10 +33,15 @@ import (
 
 // bodyEncoder is the state of one body besides its bytes.
 type bodyEncoder struct {
-	// memo maps a float's bits to its first encoding in the body. It is
-	// direct-mapped: a colliding float takes over the slot, which costs
-	// only a later re-format.
-	memo [memoSlots]memoSlot
+	// memo maps a float's bits to its encoding. It is set-associative:
+	// a float's hash picks a set of memoWays entries, and an entry is
+	// taken over only when all of its set are filled. A plan's
+	// hundred-odd distinct floats spread over memoSets sets then fill
+	// none, so each is formatted once, where in a direct-mapped memo
+	// two colliding values evict each other again and again. fill
+	// holds each set's filled ways, the only state a new body clears.
+	memo [memoSets]memoSet
+	fill [memoSets]memoFill
 	// err is the first value that could not be encoded.
 	err error
 	// buf keeps the body's storage for the next body.
@@ -44,14 +49,26 @@ type bodyEncoder struct {
 }
 
 const (
-	memoBits  = 9
-	memoSlots = 1 << memoBits
+	memoSetBits = 7
+	memoSets    = 1 << memoSetBits
+	memoWays    = 8
+	// memoText bounds an entry's encoding. encoding/json writes a
+	// finite float in at most 25 bytes (a sign, "0.", five zeros and
+	// 17 digits), so every float fits.
+	memoText = 32
 )
 
-type memoSlot struct {
-	bits   uint64
-	off, n int // n == 0 marks an empty slot
+// memoSet is one set of the memo: the floats' bits and their
+// encodings, n bytes of text each.
+type memoSet struct {
+	bits [memoWays]uint64
+	n    [memoWays]uint8
+	text [memoWays][memoText]byte
 }
+
+// memoFill counts a set's ways filled from way 0 up; next is the way a
+// new float takes over once all are filled.
+type memoFill struct{ used, next uint8 }
 
 // bodyPool recycles encoders, as encoding/json recycles its encode
 // states: a 10k-station plan body is about 400 KB.
@@ -64,7 +81,7 @@ var bodyPool = sync.Pool{New: func() any { return new(bodyEncoder) }}
 func writeBody(w http.ResponseWriter, status int, fill func([]byte, *bodyEncoder) []byte) {
 	enc := bodyPool.Get().(*bodyEncoder)
 	defer bodyPool.Put(enc)
-	clear(enc.memo[:])
+	clear(enc.fill[:])
 	enc.err = nil
 	b := append(fill(enc.buf[:0], enc), '\n')
 	enc.buf = b
@@ -88,9 +105,12 @@ func (enc *bodyEncoder) fail(err error) {
 // encoding/json.
 func (enc *bodyEncoder) float(b []byte, f float64) []byte {
 	bits := math.Float64bits(f)
-	slot := &enc.memo[(bits*0x9e3779b97f4a7c15)>>(64-memoBits)]
-	if slot.n > 0 && slot.bits == bits {
-		return append(b, b[slot.off:slot.off+slot.n]...)
+	s := memoSetOf(bits)
+	set, fill := &enc.memo[s], &enc.fill[s]
+	for w := range fill.used {
+		if set.bits[w] == bits {
+			return appendText(b, &set.text[w], set.n[w])
+		}
 	}
 	if math.IsInf(f, 0) || math.IsNaN(f) {
 		enc.fail(&json.UnsupportedValueError{Str: strconv.FormatFloat(f, 'g', -1, 64)})
@@ -98,9 +118,33 @@ func (enc *bodyEncoder) float(b []byte, f float64) []byte {
 	}
 	off := len(b)
 	b = appendFloat(b, f)
-	*slot = memoSlot{bits: bits, off: off, n: len(b) - off}
+	w := fill.used
+	if w < memoWays {
+		fill.used++
+	} else {
+		w = fill.next
+		fill.next = (fill.next + 1) % memoWays
+	}
+	set.bits[w], set.n[w] = bits, uint8(copy(set.text[w][:], b[off:]))
 	return b
 }
+
+// appendText appends the first n bytes of t. With room for all of t it
+// stores t whole and keeps n bytes of it: two 16-byte moves, which the
+// compiler emits inline, where a copy of n bytes calls memmove.
+func appendText(b []byte, t *[memoText]byte, n uint8) []byte {
+	l := len(b)
+	if cap(b)-l < memoText {
+		return append(b, t[:n]...)
+	}
+	b = b[:l+memoText]
+	*(*[16]byte)(b[l:]) = *(*[16]byte)(t[:16])
+	*(*[16]byte)(b[l+16:]) = *(*[16]byte)(t[16:])
+	return b[:l+int(n)]
+}
+
+// memoSetOf returns the memo set of a float's bits.
+func memoSetOf(bits uint64) uint64 { return bits * 0x9e3779b97f4a7c15 >> (64 - memoSetBits) }
 
 func (enc *bodyEncoder) floats(b []byte, fs []float64) []byte {
 	if fs == nil {

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -146,9 +147,14 @@ func TestPlanBodyMatchesEncodingJSON(t *testing.T) {
 	checkPlanBody(t, "empty slices", &Plan{Rates: []float64{}, Utilizations: []float64{}, Up: []bool{}, Ramp: []float64{}})
 	checkPlanBody(t, "nil up and ramp", &Plan{Rates: []float64{1, 0}, Utilizations: []float64{0.5, 0}, Policy: "<a&b>"})
 
-	// The plan a 10k-station operator re-plan answers with: the
-	// 56-class signature fleet, one station down
-	// and one ramping back in, under JSQ(2).
+	checkPlanBody(t, "10k fleet", fleetPlan(t))
+}
+
+// fleetPlan is the plan a 10k-station operator re-plan answers with:
+// the 56-class signature fleet, one station down and one ramping back
+// in, under JSQ(2).
+func fleetPlan(t *testing.T) *Plan {
+	t.Helper()
 	const n = 10000
 	sizes := make([]int, n)
 	speeds := make([]float64, n)
@@ -168,11 +174,41 @@ func TestPlanBodyMatchesEncodingJSON(t *testing.T) {
 	up[4321] = false
 	ramp[17] = 0.25
 	opts := core.Options{Discipline: queueing.FCFS}
-	p, err := buildPlan(mustFleet(t, g), 0.5*g.MaxGenericRate(), up, opts, 7, time.Unix(1_700_000_000, 0), ramp, 2, newDepthSet(n))
+	fleet := mustFleet(t, g)
+	p, err := buildPlan(fleet, 0.5*g.MaxGenericRate(), mustTally(t, fleet, up), opts, 7, time.Unix(1_700_000_000, 0), ramp, 2, newDepthSet(n))
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkPlanBody(t, "10k fleet", p)
+	return p
+}
+
+// TestPlanBodyFormatsEachFloatOnce checks the memo on the body it
+// serves: each distinct float of a 10k-station plan is formatted once,
+// where a direct-mapped memo re-formatted values that collided. A float
+// is formatted again only after its set overflowed and evicted it, and
+// an overflowed set holds fewer values than map to it, so every
+// distinct float still in the memo after the body means none was.
+func TestPlanBodyFormatsEachFloatOnce(t *testing.T) {
+	p := fleetPlan(t)
+	distinct := map[uint64]bool{}
+	for _, fs := range [][]float64{
+		{p.Lambda, p.Phi, p.AvgResponseTime, p.Capacity, p.Admitted, p.Shed}, p.Rates, p.Utilizations, p.Ramp,
+	} {
+		for _, f := range fs {
+			distinct[math.Float64bits(f)] = true
+		}
+	}
+	enc := new(bodyEncoder)
+	p.appendJSON(nil, enc)
+	if enc.err != nil {
+		t.Fatal(enc.err)
+	}
+	for bits := range distinct {
+		s := memoSetOf(bits)
+		if !slices.Contains(enc.memo[s].bits[:enc.fill[s].used], bits) {
+			t.Errorf("%v was evicted from the memo; %d distinct floats in the body", math.Float64frombits(bits), len(distinct))
+		}
+	}
 }
 
 func TestHealthBodyMatchesEncodingJSON(t *testing.T) {
@@ -369,9 +405,9 @@ func TestHealthBlockIsOneRead(t *testing.T) {
 			}
 			b := &s.breakers.stations[k%n]
 			if b.state.Load() == breakerClosed {
-				b.state.Store(breakerOpen)
+				s.breakers.setState(b, breakerOpen)
 			} else {
-				b.state.Store(breakerClosed)
+				s.breakers.setState(b, breakerClosed)
 			}
 		}
 	}()

@@ -99,7 +99,9 @@ const rampMinFactor = 0.1
 // breakerState is one station's breaker. All fields are atomics: the
 // dispatch hot path loads state/pinned on every request, and the scan
 // goroutine, outcome recorder, and health handler mutate them without
-// a shared lock.
+// a shared lock. state and rampStart change only through the
+// breakerSet's setters (setState, casState, setRamp), which keep its
+// exception counts.
 type breakerState struct {
 	state  atomic.Int32
 	pinned atomic.Bool // operator "down": transitions frozen, station excluded
@@ -132,6 +134,13 @@ type breakerSet struct {
 	// know whether a trial coin must be flipped at all.
 	trial    atomic.Int64
 	stations []breakerState
+	// notClosed counts the stations whose breaker is not closed, and
+	// ramping those whose ramp is running (rampStart > 0). Each changes
+	// only where a Swap or CAS of the field it counts succeeds and
+	// changes the station's standing, by that change, so concurrent
+	// transitions cannot make it drift. While both read zero, no
+	// breaker excludes or caps a station (see exceptions).
+	notClosed, ramping atomic.Int64
 	// redirects counts dispatches whose picked station was rejected by
 	// its breaker and were re-drawn; trials counts probe admissions.
 	redirects atomic.Int64
@@ -180,9 +189,58 @@ func (b *breakerSet) onOutcome(station int, kind Outcome, atNanos int64) {
 		s.trialOK.Add(1)
 		return
 	}
-	if s.state.CompareAndSwap(breakerHalfOpen, breakerOpen) {
+	if b.casState(s, breakerHalfOpen, breakerOpen) {
 		b.reopen(s, atNanos)
 	}
+}
+
+// setState moves s's breaker to state v and returns the state it left,
+// counting the move.
+func (b *breakerSet) setState(s *breakerState, v int32) int32 {
+	old := s.state.Swap(v)
+	b.countState(old, v)
+	return old
+}
+
+// casState moves s's breaker from state from to state to if it is still
+// in from, counting the move, and reports whether it moved.
+func (b *breakerSet) casState(s *breakerState, from, to int32) bool {
+	if !s.state.CompareAndSwap(from, to) {
+		return false
+	}
+	b.countState(from, to)
+	return true
+}
+
+// countState moves notClosed by a breaker's move from state from to
+// state to.
+func (b *breakerSet) countState(from, to int32) {
+	switch {
+	case from == breakerClosed && to != breakerClosed:
+		b.notClosed.Add(1)
+	case from != breakerClosed && to == breakerClosed:
+		b.notClosed.Add(-1)
+	}
+}
+
+// setRamp stamps s's ramp start (unix nanos; zero or less ends the
+// ramp), counting a ramp that starts or ends.
+func (b *breakerSet) setRamp(s *breakerState, at int64) {
+	switch old := s.rampStart.Swap(at); {
+	case old <= 0 && at > 0:
+		b.ramping.Add(1)
+	case old > 0 && at <= 0:
+		b.ramping.Add(-1)
+	}
+}
+
+// exceptions returns the number of stations whose breaker is not
+// closed plus the number whose ramp is running. At zero, every breaker
+// is closed and no ramp runs, so the breakers neither exclude a
+// station an operator has up nor cap one: a pinned station is operator
+// down.
+func (b *breakerSet) exceptions() int64 {
+	return b.notClosed.Load() + b.ramping.Load()
 }
 
 // reopen arms an open period from atNanos using the current interval,
@@ -202,19 +260,26 @@ func (b *breakerSet) reopen(s *breakerState, atNanos int64) {
 
 // resetTo returns a breaker to the closed state with its backoff
 // rearmed from the base interval — operator "up" overrides and
-// breaker-driven closes both land here.
-func (b *breakerSet) resetTo(s *breakerState) {
-	s.state.Store(breakerClosed)
+// breaker-driven closes both land here. It returns the state the
+// breaker left.
+func (b *breakerSet) resetTo(s *breakerState) int32 {
+	old := b.setState(s, breakerClosed)
 	s.interval.Store(b.openBase)
 	s.openUntil.Store(0)
 	s.trialOK.Store(0)
+	return old
 }
 
 // snapshotTrial republishes which station (if any) is admitting
 // probes. Called by the scan after transitions; at most one station
 // runs trials at a time, lowest index first, so probe traffic is never
-// split thin across several recovering stations.
+// split thin across several recovering stations. With every breaker
+// closed there is none to look for.
 func (b *breakerSet) snapshotTrial() {
+	if b.notClosed.Load() == 0 {
+		b.trial.Store(-1)
+		return
+	}
 	for i := range b.stations {
 		s := &b.stations[i]
 		if s.state.Load() == breakerHalfOpen && !s.pinned.Load() {
@@ -223,16 +288,4 @@ func (b *breakerSet) snapshotTrial() {
 		}
 	}
 	b.trial.Store(-1)
-}
-
-// anyRejecting reports whether any breaker currently excludes its
-// station — the cheap pre-check the resolver uses to decide whether
-// the availability vector must consult breakers at all.
-func (b *breakerSet) anyRejecting() bool {
-	for i := range b.stations {
-		if b.rejects(i) {
-			return true
-		}
-	}
-	return false
 }

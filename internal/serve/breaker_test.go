@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -175,6 +176,70 @@ func TestBreakerRecoversThroughTrialAndRampsIn(t *testing.T) {
 	}
 }
 
+// TestRampCompletionIsLevelTriggered ends a ramp inside
+// MinResolveInterval of the last re-solve, where the rate limit turns
+// the scan's ramp-complete request away. The published plan must still
+// drop its ramp at the first scan after the interval has passed: a
+// ramp that ends is retried until a plan without it lands. That holds
+// too for a station an operator pins while it ramps, which the scan
+// otherwise leaves alone.
+func TestRampCompletionIsLevelTriggered(t *testing.T) {
+	for _, pin := range []bool{false, true} {
+		t.Run(fmt.Sprintf("pinned=%t", pin), func(t *testing.T) {
+			clk := newFakeClock()
+			s := newBreakerTestServer(t, clk, func(c *Config) {
+				c.MinResolveInterval = 10 * time.Second
+				c.Breaker.RampWindow = time.Second
+				c.Breaker.PhiThreshold = 1e12 // the silence of the fake clock trips nothing
+			})
+			tripStation(t, s, clk, 0, 12)
+			waitPlanVersion(t, s, 2)
+			clk.Advance(s.cfg.Breaker.OpenInterval + time.Second)
+			s.healthScan(clk.Now())
+			for i := 0; i < s.cfg.Breaker.TrialSuccesses; i++ {
+				clk.Advance(time.Millisecond)
+				s.recordOutcome(0, OutcomeSuccess, 0.001)
+			}
+			s.healthScan(clk.Now()) // closes the breaker: a forced re-solve with a ramp
+			if plan := waitPlanVersion(t, s, 3); plan.Ramp == nil {
+				t.Fatal("readmission plan carries no ramp")
+			}
+			last := int64(3)
+			if pin {
+				if w := postJSON(t, s.Handler(), "/v1/health", map[string]any{"station": 0, "up": false}); w.Code != http.StatusAccepted {
+					t.Fatalf("pin status %d", w.Code)
+				}
+				if plan := waitPlanVersion(t, s, 4); plan.Ramp == nil {
+					t.Fatal("plan after the pin carries no ramp")
+				}
+				last = 4
+			}
+
+			// The ramp ends 2s into the 10s rate limit: the request is dropped.
+			clk.Advance(2 * time.Second)
+			s.healthScan(clk.Now())
+			time.Sleep(20 * time.Millisecond)
+			if v := s.Plan().Version; v != last {
+				t.Fatalf("plan version %d inside the rate limit, want %d", v, last)
+			}
+
+			clk.Advance(10 * time.Second)
+			s.healthScan(clk.Now())
+			deadline := time.Now().Add(2 * time.Second)
+			for s.Plan().Version <= last {
+				if time.Now().After(deadline) {
+					t.Fatalf("no re-solve at the first scan past the rate limit; plan v%d still carries ramp %v",
+						s.Plan().Version, s.Plan().Ramp)
+				}
+				time.Sleep(2 * time.Millisecond)
+			}
+			if plan := s.Plan(); plan.Ramp != nil {
+				t.Fatalf("plan v%d still carries ramp %v", plan.Version, plan.Ramp)
+			}
+		})
+	}
+}
+
 func TestBreakerReopensWithExponentialBackoff(t *testing.T) {
 	clk := newFakeClock()
 	s := newBreakerTestServer(t, clk, nil)
@@ -345,22 +410,20 @@ func TestApplyBreakersNeverEmptiesTheCluster(t *testing.T) {
 	// Force every breaker open: the overlay must ignore the exclusions
 	// rather than leave the stream with nowhere to go.
 	for i := range s.breakers.stations {
-		s.breakers.stations[i].state.Store(breakerOpen)
+		s.breakers.setState(&s.breakers.stations[i], breakerOpen)
 	}
-	up := make([]bool, s.group.N())
-	for i := range up {
-		up[i] = true
-	}
-	got, _ := s.applyBreakers(up)
-	for i, u := range got {
+	got := s.tally.Clone()
+	s.applyBreakers(got)
+	for i, u := range got.Up() {
 		if !u {
 			t.Fatalf("station %d excluded with zero survivors", i)
 		}
 	}
 	// With one survivor, the rest are excluded as usual.
-	s.breakers.stations[3].state.Store(breakerClosed)
-	got, _ = s.applyBreakers(up)
-	for i, u := range got {
+	s.breakers.setState(&s.breakers.stations[3], breakerClosed)
+	got = s.tally.Clone()
+	s.applyBreakers(got)
+	for i, u := range got.Up() {
 		if want := i == 3; u != want {
 			t.Fatalf("station %d up=%v, want %v", i, u, want)
 		}
@@ -373,7 +436,7 @@ func TestTrialPickDivertsProbeShare(t *testing.T) {
 		c.Breaker.TrialFraction = 0.3
 	})
 	// Post station 4 as half-open and count probe admissions.
-	s.breakers.stations[4].state.Store(breakerHalfOpen)
+	s.breakers.setState(&s.breakers.stations[4], breakerHalfOpen)
 	s.breakers.snapshotTrial()
 	const n = 4000
 	trials := 0
@@ -391,7 +454,7 @@ func TestTrialPickDivertsProbeShare(t *testing.T) {
 		t.Fatalf("trial fraction %.3f, want ≈0.3", frac)
 	}
 	// Clearing the trial stops probe traffic without touching the plan.
-	s.breakers.stations[4].state.Store(breakerClosed)
+	s.breakers.setState(&s.breakers.stations[4], breakerClosed)
 	s.breakers.snapshotTrial()
 	for i := 0; i < 500; i++ {
 		if d := s.Decide(); d.Trial {
@@ -415,7 +478,7 @@ func TestDeterministicRNGPinsTrialAdmissionSequence(t *testing.T) {
 			c.DeterministicRNG = true
 			c.Breaker.TrialFraction = 0.2
 		})
-		s.breakers.stations[2].state.Store(breakerHalfOpen)
+		s.breakers.setState(&s.breakers.stations[2], breakerHalfOpen)
 		s.breakers.snapshotTrial()
 		out := make([]step, 400)
 		for i := range out {

@@ -33,7 +33,8 @@ type Plan struct {
 	// Up echoes the availability vector the solve ran against (nil
 	// means all stations up).
 	Up []bool `json:"up,omitempty"`
-	// Survivors is the number of stations carrying load.
+	// Survivors is the number of stations up, breaker exclusions
+	// applied.
 	Survivors int `json:"survivors"`
 	// Capacity is the admission ceiling: the λ′ at which some surviving
 	// station would be pushed to ρ_i ≥ 1 (less the solver's stability
@@ -77,9 +78,12 @@ func (p *Plan) PickU(u float64) int {
 	return p.picker.PickU(u)
 }
 
-// buildPlan re-solves the paper's optimization over the up-subset and
-// freezes the result. Overload is not an error: OptimizeDegraded's
-// admission control sheds the minimal rate and the plan records it.
+// buildPlan re-solves the paper's optimization over the stations up
+// (the tally up; every station for nil) and freezes the result. The
+// plan's Up echo is up's own vector, nil when every station is up, so
+// up must not change afterwards. Overload is not an error:
+// OptimizeDegraded's admission control sheds the minimal rate and the
+// plan records it.
 // A non-nil ramp vector applies capped-weight recovery after the
 // solve: each station's optimal rate is scaled by ramp[i] and the
 // total renormalized back to the admitted λ′, so a just-readmitted
@@ -95,7 +99,7 @@ func (p *Plan) PickU(u float64) int {
 // generic capacity m_i·s_i/r̄ − λ″_i, ramp-scaled during capped-weight
 // recovery so a readmitted station also loses JSQ comparisons until
 // its ramp completes.
-func buildPlan(fleet *core.Fleet, lambda float64, up []bool, opts core.Options, version int64, now time.Time, ramp []float64, jsqD int, depths *depthSet) (*Plan, error) {
+func buildPlan(fleet *core.Fleet, lambda float64, up *core.Tally, opts core.Options, version int64, now time.Time, ramp []float64, jsqD int, depths *depthSet) (*Plan, error) {
 	res, err := fleet.OptimizeDegraded(lambda, up, opts)
 	if err != nil {
 		return nil, err
@@ -131,14 +135,14 @@ func buildPlan(fleet *core.Fleet, lambda float64, up []bool, opts core.Options, 
 		}
 	}
 	// Without a ramp rescale, the picker's cumulative table can cover
-	// only the loaded stations (the solve's compact allocation). Picks
-	// are identical to the dense construction (zero-weight stations have
-	// empty intervals either way, and Kahan-summed zero weights don't
-	// perturb the normalization), so the gate is purely about when the
-	// compact table is worth its index indirection: a fleet large enough
-	// to matter and an allocation at most half full.
+	// only the loaded stations: the solve's compact allocation, which
+	// it carries exactly when the compact table is worth its index
+	// indirection (a fleet large enough to matter, an allocation at most
+	// half full). Picks are identical to the dense construction
+	// (zero-weight stations have empty intervals either way, and
+	// Kahan-summed zero weights don't perturb the normalization).
 	var picker *dispatch.Probabilistic
-	if sp := res.Sparse; !rescaled && len(rates) >= 64 && 2*sp.NNZ() <= len(rates) {
+	if sp := res.Sparse; !rescaled && sp != nil {
 		picker, err = dispatch.NewProbabilisticSparse(len(rates), sp.Index, sp.Rate)
 	} else {
 		picker, err = dispatch.NewProbabilistic(rates)

@@ -35,6 +35,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -205,8 +206,10 @@ type Server struct {
 	scanMu   sync.Mutex // serializes healthScan passes; guards scanVol
 	scanVol  []int64    // outcome volume anchor per station (since last transition)
 
-	mu          sync.Mutex // guards up, lastResolve
-	up          []bool
+	mu sync.Mutex // guards tally, lastResolve
+	// tally is the operator's availability vector with its per-class
+	// survivor counts; setOperatorUp is its one writer.
+	tally       *core.Tally
 	lastResolve time.Time
 
 	solveMu   sync.Mutex // serializes background and synchronous solves
@@ -263,7 +266,6 @@ func New(cfg Config) (*Server, error) {
 		backend:   cfg.Backend,
 		est:       NewRateEstimator(cfg.Window, cfg.Buckets, cfg.Now),
 		m:         newServerMetrics(cfg.Group.N()),
-		up:        make([]bool, cfg.Group.N()),
 		scanVol:   make([]int64, cfg.Group.N()),
 		resolveCh: make(chan resolveReq, 1),
 		done:      make(chan struct{}),
@@ -282,8 +284,8 @@ func New(cfg Config) (*Server, error) {
 		s.fastRnd = newShardedRNG(cfg.Seed)
 		s.rnd = s.fastRnd
 	}
-	for i := range s.up {
-		s.up[i] = true
+	if s.tally, err = fleet.NewTally(nil); err != nil {
+		return nil, err
 	}
 	plan, err := buildPlan(s.fleet, cfg.Lambda, nil, cfg.Opts, 1, s.now(), nil, s.jsqD, s.depths)
 	if err != nil {
@@ -789,7 +791,7 @@ type breakerRead struct {
 // up, breaker and operator_pinned agree.
 func (s *Server) healthView() ([]bool, []breakerRead) {
 	s.mu.Lock()
-	up := append([]bool(nil), s.up...)
+	up := slices.Clone(s.tally.Up())
 	s.mu.Unlock()
 	brk := make([]breakerRead, len(up))
 	for i := range up {
@@ -902,19 +904,13 @@ func (s *Server) handlePostHealth(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "station %d out of range [0, %d)", station, s.group.N())
 		return
 	}
-	s.mu.Lock()
-	changed := s.up[station] != up
-	s.up[station] = up
-	s.mu.Unlock()
+	changed := s.setOperatorUp(station, up)
 	b := &s.breakers.stations[station]
 	breakerReset := false
 	if up {
 		b.pinned.Store(false)
-		if b.state.Load() != breakerClosed {
-			breakerReset = true
-		}
-		s.breakers.resetTo(b)
-		b.rampStart.Store(0)
+		breakerReset = s.breakers.resetTo(b) != breakerClosed
+		s.breakers.setRamp(b, 0)
 		s.tracker.resetError(station)
 		s.scanMu.Lock()
 		suc, errs, tmo := s.tracker.totals(station)
@@ -930,6 +926,14 @@ func (s *Server) handlePostHealth(w http.ResponseWriter, r *http.Request) {
 		s.maybeResolve(0, "health", true)
 	}
 	writeBody(w, http.StatusAccepted, s.appendHealth)
+}
+
+// setOperatorUp records the operator's word on station i in the tally,
+// in O(1), and reports whether it changed the station.
+func (s *Server) setOperatorUp(i int, up bool) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.tally.Set(i, up)
 }
 
 // handleObserve ingests one externally executed outcome:
@@ -1023,7 +1027,10 @@ func (s *Server) scanner() {
 // the state CAS so a station trips at most once per open cycle);
 // ramp-weight refreshes go through the MinResolveInterval rate limit
 // — the hysteresis that keeps a recovering station from thrashing the
-// solver.
+// solver. The end of the ramps is level-triggered: while the published
+// plan carries a ramp and no station is still ramping, every scan
+// requests the re-solve that drops it, so a request the rate limit
+// turned away is made again at the next scan.
 func (s *Server) healthScan(now time.Time) {
 	if s.cfg.Guard.Hedge {
 		if q := s.m.latencyQuantile95(); q > 0 {
@@ -1047,7 +1054,12 @@ func (s *Server) healthScan(now time.Time) {
 	for i := range s.breakers.stations {
 		st := &s.breakers.stations[i]
 		if st.pinned.Load() {
-			continue // operator owns this station
+			// The operator owns this station. A ramp it was pinned in
+			// still ends with its window, or the plan would keep it.
+			if rs := st.rampStart.Load(); rs > 0 && nowNs-rs >= int64(s.cfg.Breaker.RampWindow) {
+				s.breakers.setRamp(st, 0)
+			}
+			continue
 		}
 		switch st.state.Load() {
 		case breakerClosed:
@@ -1058,9 +1070,9 @@ func (s *Server) healthScan(now time.Time) {
 			loaded := i < len(plan.Rates) && plan.Rates[i] > 0
 			if (vol >= int64(s.cfg.Breaker.MinVolume) && erate >= s.cfg.Breaker.ErrorThreshold) ||
 				(loaded && phi >= s.cfg.Breaker.PhiThreshold) {
-				if st.state.CompareAndSwap(breakerClosed, breakerOpen) {
+				if s.breakers.casState(st, breakerClosed, breakerOpen) {
 					s.breakers.reopen(st, nowNs)
-					st.rampStart.Store(0)
+					s.breakers.setRamp(st, 0)
 					s.scanVol[i] = suc + errs + tmo
 					s.log.Warn("breaker tripped; shedding station",
 						"station", i, "error_rate", erate, "suspicion", phi, "volume", vol)
@@ -1070,10 +1082,7 @@ func (s *Server) healthScan(now time.Time) {
 			}
 			if rs := st.rampStart.Load(); rs > 0 {
 				if nowNs-rs >= int64(s.cfg.Breaker.RampWindow) {
-					st.rampStart.Store(0)
-					if reason == "" {
-						reason = "ramp-complete"
-					}
+					s.breakers.setRamp(st, 0)
 				} else {
 					rampActive = true
 				}
@@ -1084,14 +1093,15 @@ func (s *Server) healthScan(now time.Time) {
 				// Restart the silence clock: suspicion now measures the
 				// probe stream, not the outage that tripped us.
 				s.tracker.touch(i, nowNs)
-				st.state.Store(breakerHalfOpen)
-				s.log.Info("breaker half-open; admitting trial traffic",
-					"station", i, "trial_fraction", s.breakers.trialFraction)
+				if s.breakers.casState(st, breakerOpen, breakerHalfOpen) {
+					s.log.Info("breaker half-open; admitting trial traffic",
+						"station", i, "trial_fraction", s.breakers.trialFraction)
+				}
 			}
 		case breakerHalfOpen:
 			if st.trialOK.Load() >= int64(s.cfg.Breaker.TrialSuccesses) {
 				s.breakers.resetTo(st)
-				st.rampStart.Store(nowNs)
+				s.breakers.setRamp(st, nowNs)
 				s.tracker.resetError(i)
 				suc, errs, tmo := s.tracker.totals(i)
 				s.scanVol[i] = suc + errs + tmo
@@ -1107,6 +1117,8 @@ func (s *Server) healthScan(now time.Time) {
 		s.maybeResolve(0, reason, force)
 	case rampActive:
 		s.maybeResolve(0, "ramp", false)
+	case plan.Ramp != nil && s.breakers.ramping.Load() == 0:
+		s.maybeResolve(0, "ramp-complete", false)
 	}
 }
 
@@ -1130,32 +1142,30 @@ func (s *Server) rampFactor(i int, now time.Time) float64 {
 	return rampMinFactor + (1-rampMinFactor)*elapsed/window
 }
 
-// applyBreakers overlays breaker exclusions onto the operator
-// availability vector (mutating the caller's private copy) and
-// collects ramp-in weights for recovering stations, in one pass over
-// the breakers. If the overlay would leave no station serving, the
-// breaker exclusions are ignored — routing somewhere beats routing
-// nowhere — and the breakers are left to re-trip on the evidence.
-func (s *Server) applyBreakers(up []bool) ([]bool, []float64) {
-	if s.breakers.disabled {
-		return up, nil
+// applyBreakers overlays breaker exclusions onto t, the re-solve's own
+// copy of the operator tally, and returns the ramp-in weights of the
+// recovering stations (nil when none ramps), in one pass over the
+// breakers. While every breaker is closed and no ramp runs, which the
+// breakerSet's exception count tells in O(1), there is nothing to
+// overlay: a pinned station is operator down, so t has it down
+// already. If the overlay would leave no station serving, the breaker
+// exclusions are ignored — routing somewhere beats routing nowhere —
+// and the breakers are left to re-trip on the evidence.
+func (s *Server) applyBreakers(t *core.Tally) []float64 {
+	if s.breakers.disabled || s.breakers.exceptions() == 0 {
+		return nil
 	}
 	var excluded []int
-	survivors := 0
 	var ramp []float64
 	now := s.now()
-	for i := range up {
-		if up[i] {
-			if s.breakers.rejects(i) {
-				up[i] = false
-				excluded = append(excluded, i)
-			} else {
-				survivors++
-			}
+	for i := range s.breakers.stations {
+		if t.IsUp(i) && s.breakers.rejects(i) {
+			t.Set(i, false)
+			excluded = append(excluded, i)
 		}
 		if f := s.rampFactor(i, now); f < 1 {
 			if ramp == nil {
-				ramp = make([]float64, len(up))
+				ramp = make([]float64, len(s.breakers.stations))
 				for j := range ramp {
 					ramp[j] = 1
 				}
@@ -1163,12 +1173,12 @@ func (s *Server) applyBreakers(up []bool) ([]bool, []float64) {
 			ramp[i] = f
 		}
 	}
-	if survivors == 0 {
+	if t.Survivors() == 0 {
 		for _, i := range excluded {
-			up[i] = true
+			t.Set(i, true)
 		}
 	}
-	return up, ramp
+	return ramp
 }
 
 // resolver is the background goroutine that serializes re-solves.
@@ -1196,18 +1206,20 @@ func (e *overCeilingError) Error() string {
 }
 
 // doResolve re-solves the optimization against the current
-// availability vector, warm-starting from the live plan's multiplier,
-// and atomically publishes the result. On error the previous plan
-// stays live (with every station down the stream has nowhere better to
-// go; the error is logged and counted).
+// availability, warm-starting from the live plan's multiplier, and
+// atomically publishes the result. The operator tally is copied once;
+// the breakers are overlaid on the copy, which the solve reads and the
+// plan echoes. On error the previous plan stays live (with every
+// station down the stream has nowhere better to go; the error is
+// logged and counted).
 func (s *Server) doResolve(req resolveReq) (*Plan, error) {
 	s.solveMu.Lock()
 	defer s.solveMu.Unlock()
 	cur := s.plan.Load()
 	s.mu.Lock()
-	up := append([]bool(nil), s.up...)
+	up := s.tally.Clone()
 	s.mu.Unlock()
-	up, ramp := s.applyBreakers(up)
+	ramp := s.applyBreakers(up)
 
 	lambda := req.lambda
 	if lambda <= 0 {

@@ -117,3 +117,13 @@ func mustFleet(t testing.TB, g *model.Group) *core.Fleet {
 	}
 	return f
 }
+
+// mustTally returns the fleet's tally of up.
+func mustTally(t testing.TB, fleet *core.Fleet, up []bool) *core.Tally {
+	t.Helper()
+	tally, err := fleet.NewTally(up)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tally
+}

@@ -130,7 +130,9 @@ type RunResult struct {
 	SpecialResponse metrics.Welford
 	// GenericHealthy/GenericDegraded split GenericResponse by system
 	// state at the task's arrival: degraded means at least one station
-	// was fully down. Both are zero-valued without failure injection.
+	// was fully down. Run fills them on every run, so without failure
+	// injection GenericHealthy holds every generic completion and
+	// GenericDegraded stays empty. Replay leaves both empty.
 	GenericHealthy  metrics.Welford
 	GenericDegraded metrics.Welford
 	// GenericP95 estimates the 95th percentile of generic response
