@@ -233,12 +233,21 @@ func BenchmarkHandlerGetPlanN10k(b *testing.B) {
 }
 
 // BenchmarkHandlerGetHealthN10k is the fleet's health view, GET
-// /v1/health: the body POST /v1/health answers with, without the
-// re-solve a health change queues.
+// /v1/health: every station's block, on a fleet whose detectors have
+// seen no traffic.
 func BenchmarkHandlerGetHealthN10k(b *testing.B) {
 	s, _ := newFleetServer(b, serve.BreakerConfig{})
 	defer s.Close()
 	benchHandler(b, s.Handler(), http.MethodGet, "/v1/health", "", http.StatusOK)
+}
+
+// BenchmarkHandlerPostHealthN10k is an operator health post on the
+// fleet, answered with the posted station's block alone. It brings up
+// a station already up, which changes nothing and queues no re-solve.
+func BenchmarkHandlerPostHealthN10k(b *testing.B) {
+	s, _ := newFleetServer(b, serve.BreakerConfig{})
+	defer s.Close()
+	benchHandler(b, s.Handler(), http.MethodPost, "/v1/health", `{"station":0,"up":true}`, http.StatusAccepted)
 }
 
 // BenchmarkHandlerGetHealthLiveN10k is GET /v1/health on a fleet whose

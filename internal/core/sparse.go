@@ -122,12 +122,7 @@ func newSparseFleet(f *Fleet, counts []int, newSolver func(s model.Server) stati
 		cl.mc0 = cl.solver.mc0
 		classes = append(classes, cl)
 	}
-	slices.SortFunc(classes, func(a, b sparseClass) int {
-		if c := cmp.Compare(a.mc0, b.mc0); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.id, b.id)
-	})
+	sortByMC0(classes)
 	k := len(classes)
 	buf := make([]float64, 5*k)
 	sf := &sparseFleet{
@@ -154,6 +149,43 @@ func newSparseFleet(f *Fleet, counts []int, newSolver func(s model.Server) stati
 	}
 	sf.maxRate = maxRate.Value()
 	return sf
+}
+
+// sortByMC0 orders classes, built in ascending id order, by (MC(0), id).
+// A class is some 200 bytes, so it sorts a permutation of their indices,
+// whose comparisons copy no class, and then moves each class once along
+// the permutation's cycles.
+func sortByMC0(classes []sparseClass) {
+	perm := make([]int32, len(classes))
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortFunc(perm, func(a, b int32) int {
+		if c := cmp.Compare(classes[a].mc0, classes[b].mc0); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b) // index order is id order
+	})
+	// Slot i takes the class now at perm[i]. Each cycle is walked once
+	// with its first class held aside; a filled slot is marked by
+	// perm[i] = i.
+	for i := range classes {
+		if int(perm[i]) == i {
+			continue
+		}
+		held := classes[i]
+		j := i
+		for {
+			src := int(perm[j])
+			perm[j] = int32(j)
+			if src == i {
+				classes[j] = held
+				break
+			}
+			classes[j] = classes[src]
+			j = src
+		}
+	}
 }
 
 // newSolution returns an empty search outcome whose cached ends fill

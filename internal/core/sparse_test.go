@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/model"
@@ -222,6 +224,34 @@ func TestSparsePruningDropsSlowStations(t *testing.T) {
 	}
 	if res.Classes != 32 {
 		t.Errorf("expected 32 classes, got %d", res.Classes)
+	}
+}
+
+// TestSortByMC0MatchesStructSort checks the permutation sort of the
+// classes against sorting the structs themselves by (MC(0), id). The
+// class counts are random and the keys repeat and include +Inf, so the
+// permutation takes cycles of every length, fixed points included.
+func TestSortByMC0MatchesStructSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	keys := []float64{0.5, 0.25, 1, math.Inf(1), 0.125}
+	for trial := 0; trial < 500; trial++ {
+		classes := make([]sparseClass, rng.Intn(40))
+		for i := range classes {
+			classes[i] = sparseClass{id: int32(i), count: rng.Intn(5), mc0: keys[rng.Intn(len(keys))]}
+		}
+		want := slices.Clone(classes)
+		slices.SortFunc(want, func(a, b sparseClass) int {
+			if c := cmp.Compare(a.mc0, b.mc0); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.id, b.id)
+		})
+		sortByMC0(classes)
+		for i := range classes {
+			if classes[i].id != want[i].id || classes[i].count != want[i].count {
+				t.Fatalf("trial %d: slot %d holds class %d, want %d", trial, i, classes[i].id, want[i].id)
+			}
+		}
 	}
 }
 

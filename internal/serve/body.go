@@ -11,7 +11,7 @@ import (
 	"unicode/utf8"
 )
 
-// The /v1/plan and /v1/health bodies carry one to two floats per
+// The /v1/plan bodies and GET /v1/health's carry one to two floats per
 // station, so at fleet scale encoding them is most of what a re-plan
 // costs the daemon. They are appended by hand instead of through
 // reflection, byte for byte as encoding/json writes the same value (the
@@ -259,7 +259,7 @@ func (p *Plan) appendJSON(b []byte, enc *bodyEncoder) []byte {
 }
 
 // appendJSON appends the health view as encoding/json marshals it. The
-// daemon's handlers stream the same body from live state
+// daemon's GET handler streams the same body from live state
 // (Server.appendHealth); this form serves the tests' oracle.
 func (hs *HealthState) appendJSON(b []byte, enc *bodyEncoder) []byte {
 	b = appendHealthHead(b, enc, hs.Up, hs.Estimate, hs.Warm, len(hs.Stations))

@@ -150,12 +150,11 @@ func TestPlanBodyMatchesEncodingJSON(t *testing.T) {
 	checkPlanBody(t, "10k fleet", fleetPlan(t))
 }
 
-// fleetPlan is the plan a 10k-station operator re-plan answers with:
-// the 56-class signature fleet, one station down and one ramping back
-// in, under JSQ(2).
-func fleetPlan(t *testing.T) *Plan {
+// signatureGroup is an n-station fleet in the 56-class signature
+// pattern: sizes 2 to 16 blades and speeds 1.1 to 1.7, special load at
+// 0.3 of capacity.
+func signatureGroup(t *testing.T, n int) *model.Group {
 	t.Helper()
-	const n = 10000
 	sizes := make([]int, n)
 	speeds := make([]float64, n)
 	for i := range sizes {
@@ -166,6 +165,16 @@ func fleetPlan(t *testing.T) *Plan {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return g
+}
+
+// fleetPlan is the plan a 10k-station operator re-plan answers with:
+// the 56-class signature fleet, one station down and one ramping back
+// in, under JSQ(2).
+func fleetPlan(t *testing.T) *Plan {
+	t.Helper()
+	const n = 10000
+	g := signatureGroup(t, n)
 	up := make([]bool, n)
 	ramp := make([]float64, n)
 	for i := range up {
@@ -229,9 +238,10 @@ func TestHealthBodyMatchesEncodingJSON(t *testing.T) {
 
 // TestHandlerBodiesMatchEncodingJSON checks the bodies as served: GET
 // and POST /v1/plan and /v1/health, on a daemon whose station names
-// need escaping, against encoding/json over the same plan and health
-// view. The clock is fake, so the health view does not move between
-// the request and the oracle.
+// need escaping, against encoding/json over the same plan, health view
+// and, for POST /v1/health, the posted station's block, whose name
+// needs escaping too. The clock is fake, so the health view does not
+// move between the request and the oracle.
 func TestHandlerBodiesMatchEncodingJSON(t *testing.T) {
 	clk := newFakeClock()
 	names := []string{"<a&b>", "blade-\xff", "line\u2028sep", "", "plain", `q"uote`, "ünïcode"}
@@ -247,7 +257,7 @@ func TestHandlerBodiesMatchEncodingJSON(t *testing.T) {
 		{http.MethodGet, "/v1/plan", "", http.StatusOK, func() any { return s.Plan() }},
 		{http.MethodPost, "/v1/plan", `{"lambda": 20}`, http.StatusOK, func() any { return s.Plan() }},
 		{http.MethodGet, "/v1/health", "", http.StatusOK, func() any { return s.healthState() }},
-		{http.MethodPost, "/v1/health", `{"station": 5, "up": false}`, http.StatusAccepted, func() any { return s.healthState() }},
+		{http.MethodPost, "/v1/health", `{"station": 5, "up": false}`, http.StatusAccepted, func() any { return s.healthState().Stations[5] }},
 	} {
 		w := httptest.NewRecorder()
 		h.ServeHTTP(w, httptest.NewRequest(tc.method, tc.path, bytes.NewReader([]byte(tc.body))))
@@ -263,6 +273,73 @@ func TestHandlerBodiesMatchEncodingJSON(t *testing.T) {
 		}
 		if !bytes.Equal(w.Body.Bytes(), want) {
 			t.Errorf("%s %s:\n served        %s\n encoding/json %s", tc.method, tc.path, w.Body, want)
+		}
+	}
+}
+
+// TestPostHealthAnswersStationBlock pins what POST /v1/health answers:
+// the posted station's own block, byte for byte its entry in a GET
+// /v1/health made at the same instant of the fake clock and
+// encoding/json's bytes for its StationHealth, and as long at 10,000
+// stations as at 7. The station's breaker is tripped first, so
+// the down answer shows the operator's pin over an open breaker and the
+// up answer the breaker the operator closed.
+func TestPostHealthAnswersStationBlock(t *testing.T) {
+	const station = 3
+	fleet := signatureGroup(t, 10000)
+	var answers [2][]string // [fleet size][step]
+	for k, mutate := range []func(*Config){
+		nil, // Example 1's 7 stations
+		func(c *Config) {
+			c.Group, c.Lambda = fleet, 0.5*fleet.MaxGenericRate()
+			c.Opts = core.Options{Discipline: queueing.FCFS}
+		},
+	} {
+		clk := newFakeClock()
+		s := newBreakerTestServer(t, clk, mutate)
+		n := s.group.N()
+		tripStation(t, s, clk, station, 12)
+		h := s.Handler()
+		for _, up := range []bool{false, true} {
+			clk.Advance(time.Second)
+			w := postJSON(t, h, "/v1/health", map[string]any{"station": station, "up": up})
+			if w.Code != http.StatusAccepted {
+				t.Fatalf("n=%d up=%v: status %d: %s", n, up, w.Code, w.Body)
+			}
+			var view struct{ Stations []json.RawMessage }
+			if err := json.Unmarshal(getPath(t, h, "/v1/health").Body.Bytes(), &view); err != nil {
+				t.Fatal(err)
+			}
+			if len(view.Stations) != n {
+				t.Fatalf("n=%d: GET /v1/health has %d blocks", n, len(view.Stations))
+			}
+			if want := append(view.Stations[station], '\n'); !bytes.Equal(w.Body.Bytes(), want) {
+				t.Fatalf("n=%d up=%v:\n POST answered %s GET entry    %s", n, up, w.Body, want)
+			}
+			if want, err := encodingJSON(s.healthState().Stations[station]); err != nil || !bytes.Equal(w.Body.Bytes(), want) {
+				t.Fatalf("n=%d up=%v:\n POST answered %s encoding/json %s (%v)", n, up, w.Body, want, err)
+			}
+			var sh StationHealth
+			if err := json.Unmarshal(w.Body.Bytes(), &sh); err != nil {
+				t.Fatal(err)
+			}
+			wantBreaker := "open"
+			if up {
+				wantBreaker = "closed"
+			}
+			if sh.Station != station || sh.Up != up || sh.OperatorPinned == up || sh.Breaker != wantBreaker {
+				t.Errorf("n=%d: after POST up=%v the block reads %+v, want up %v, pinned %v, breaker %s",
+					n, up, sh, up, !up, wantBreaker)
+			}
+			if w.Body.Len() > 512 {
+				t.Errorf("n=%d up=%v: answer is %d bytes, want at most 512", n, up, w.Body.Len())
+			}
+			answers[k] = append(answers[k], w.Body.String())
+		}
+	}
+	for step := range answers[0] {
+		if a, b := answers[0][step], answers[1][step]; len(a) != len(b) {
+			t.Errorf("step %d: %d bytes at 7 stations, %d at 10,000:\n %s %s", step, len(a), len(b), a, b)
 		}
 	}
 }
@@ -427,6 +504,55 @@ func TestHealthBlockIsOneRead(t *testing.T) {
 				t.Fatalf("request %d station %d: body up %v, block up %v breaker %q pinned %v",
 					r, i, hs.Up[i], st.Up, st.Breaker, st.OperatorPinned)
 			}
+		}
+	}
+}
+
+// TestPostHealthBlockIsOneRead holds POST /v1/health's answer to
+// TestHealthBlockIsOneRead's rule: while another goroutine flips
+// breakers open and closed, each answered block reads its up, breaker
+// and operator_pinned from one read. A down post pins, so it answers
+// down and pinned; an up post answers up exactly when the breaker it
+// read is closed.
+func TestPostHealthBlockIsOneRead(t *testing.T) {
+	s := newTestServer(t, func(c *Config) {
+		c.MinResolveInterval = time.Hour
+		c.Breaker.ScanInterval = time.Hour
+	})
+	n := s.group.N()
+	h := s.Handler()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for k := 0; ; k++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			b := &s.breakers.stations[k%n]
+			if b.state.Load() == breakerClosed {
+				s.breakers.setState(b, breakerOpen)
+			} else {
+				s.breakers.setState(b, breakerClosed)
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for r := 0; r < 400; r++ {
+		station, up := r%n, r%3 != 0
+		w := postJSON(t, h, "/v1/health", map[string]any{"station": station, "up": up})
+		var sh StationHealth
+		if w.Code != http.StatusAccepted || json.Unmarshal(w.Body.Bytes(), &sh) != nil {
+			t.Fatalf("request %d: %d %s, want 202 with a station block", r, w.Code, w.Body)
+		}
+		if sh.Station != station || sh.OperatorPinned == up || sh.Up != (up && sh.Breaker == "closed") {
+			t.Fatalf("request %d (station %d, up %v): block %+v", r, station, up, sh)
 		}
 	}
 }

@@ -50,7 +50,7 @@ func FuzzHandlerBodies(f *testing.F) {
 		{"/v1/plan", []int{http.StatusOK, http.StatusBadRequest, http.StatusInternalServerError, http.StatusServiceUnavailable},
 			func() any { return new(Plan) }},
 		{"/v1/health", []int{http.StatusAccepted, http.StatusBadRequest},
-			func() any { return new(HealthState) }},
+			func() any { return new(StationHealth) }},
 		{"/v1/observe", []int{http.StatusAccepted, http.StatusBadRequest},
 			func() any { return new(recorded) }},
 		{"/v1/dispatch/batch", []int{http.StatusOK, http.StatusBadRequest, http.StatusServiceUnavailable},

@@ -334,7 +334,8 @@ func (s *Server) Estimate() (rate float64, warm bool) {
 //	POST /v1/plan       → synchronous re-solve (optional {"lambda": x})
 //	GET  /v1/health     → effective availability, per-station breaker
 //	                      state and outcome statistics
-//	POST /v1/health     → operator availability override (see below)
+//	POST /v1/health     → operator availability override (see below);
+//	                      answers with that station's health block
 //	POST /v1/observe    → report an externally executed outcome
 //	GET  /metrics       → Prometheus text exposition
 //	GET  /healthz       → liveness probe
@@ -751,7 +752,8 @@ type HealthState struct {
 	Stations []StationHealth `json:"stations,omitempty"`
 }
 
-// StationHealth is the per-station detail block of GET /v1/health.
+// StationHealth is the per-station detail block of GET /v1/health, and
+// the whole answer of POST /v1/health.
 type StationHealth struct {
 	Station int    `json:"station"`
 	Name    string `json:"name,omitempty"`
@@ -777,30 +779,51 @@ type StationHealth struct {
 }
 
 // breakerRead is one station's breaker state and operator pin, loaded
-// together by one health view.
+// together by one health read.
 type breakerRead struct {
 	state  int8
 	pinned bool
 }
 
+// readBreaker loads station i's breaker state and pin, once each.
+func (s *Server) readBreaker(i int) breakerRead {
+	b := &s.breakers.stations[i]
+	return breakerRead{state: int8(b.state.Load()), pinned: b.pinned.Load()}
+}
+
+// admits is a station's effective availability given the operator's
+// word on it: up only when the operator has not downed it and the read
+// breaker is closed and unpinned.
+func (r breakerRead) admits(operatorUp bool) bool {
+	return operatorUp && int32(r.state) == breakerClosed && !r.pinned
+}
+
 // healthView reads the availability a health body reports, once per
 // station: its breaker state and pin, and from them and the operator
-// vector its effective up entry (up only when the operator has not
-// downed it and its breaker is closed and unpinned). stationHealth
-// reports the same reads, so the body's up vector and each station's
-// up, breaker and operator_pinned agree.
+// vector its effective up entry. stationHealth reports the same reads,
+// so the body's up vector and each station's up, breaker and
+// operator_pinned agree.
 func (s *Server) healthView() ([]bool, []breakerRead) {
 	s.mu.Lock()
 	up := slices.Clone(s.tally.Up())
 	s.mu.Unlock()
 	brk := make([]breakerRead, len(up))
 	for i := range up {
-		b := &s.breakers.stations[i]
-		r := breakerRead{state: int8(b.state.Load()), pinned: b.pinned.Load()}
-		brk[i] = r
-		up[i] = up[i] && int32(r.state) == breakerClosed && !r.pinned
+		brk[i] = s.readBreaker(i)
+		up[i] = brk[i].admits(up[i])
 	}
 	return up, brk
+}
+
+// stationView is station i's entry in the health view, read alone and
+// in healthView's order: its tally entry, then its breaker state and
+// pin.
+func (s *Server) stationView(i int) (bool, breakerRead) {
+	s.mu.Lock()
+	up := s.tally.IsUp(i)
+	s.mu.Unlock()
+	brk := s.readBreaker(i)
+	return brk.admits(up), brk
 }
 
 // stationHealth reads station i's detail block from live state. up and
@@ -842,14 +865,6 @@ func (s *Server) stationHealth(i int, up bool, brk breakerRead, now time.Time) S
 // appendHealth appends the health view, HealthState, from live state:
 // healthView read once, then each station's block appended as it is
 // read, so no n-wide []StationHealth is built.
-//
-// At 10,000 stations the loop runs for about a millisecond without
-// allocating, so on one P nothing else, the collector's background
-// worker included, is scheduled until it ends. Yielding every
-// healthYieldEvery stations lets the worker keep pace: without the
-// yields replan-fleet's peak RSS read 1.8 MB higher (34.3 against
-// 32.5 MB, 10 runs of 20 s each on a 2-vCPU host), for about 5% less
-// CPU per op.
 func (s *Server) appendHealth(b []byte, enc *bodyEncoder) []byte {
 	up, brk := s.healthView()
 	rate, warm := s.Estimate()
@@ -863,18 +878,11 @@ func (s *Server) appendHealth(b []byte, enc *bodyEncoder) []byte {
 			}
 			sh := s.stationHealth(i, up[i], brk[i], now)
 			b = sh.appendJSON(b, enc)
-			if i%healthYieldEvery == healthYieldEvery-1 {
-				runtime.Gosched()
-			}
 		}
 		b = append(b, ']')
 	}
 	return append(b, '}')
 }
-
-// healthYieldEvery is how many stations' blocks appendHealth appends
-// between yields of the processor.
-const healthYieldEvery = 1024
 
 func (s *Server) handleGetHealth(w http.ResponseWriter, _ *http.Request) {
 	writeBody(w, http.StatusOK, s.appendHealth)
@@ -884,7 +892,9 @@ func (s *Server) handleGetHealth(w http.ResponseWriter, _ *http.Request) {
 // pins the station (breaker frozen, station excluded until an
 // operator lifts it); "up" clears the pin AND force-resets the
 // breaker to closed at full weight — no recovery ramp, the operator
-// has vouched for the station. See the Handler doc block.
+// has vouched for the station. See the Handler doc block. The answer
+// is the station's own StationHealth block, read after the override:
+// byte for byte its entry in GET /v1/health, at any fleet size.
 func (s *Server) handlePostHealth(w http.ResponseWriter, r *http.Request) {
 	// Pointer fields tell a missing field from its zero value: a body
 	// without "station" or "up" must not pin station 0 down.
@@ -925,7 +935,9 @@ func (s *Server) handlePostHealth(w http.ResponseWriter, r *http.Request) {
 			"station", station, "up", up, "breaker_reset", breakerReset)
 		s.maybeResolve(0, "health", true)
 	}
-	writeBody(w, http.StatusAccepted, s.appendHealth)
+	stationUp, brk := s.stationView(station)
+	sh := s.stationHealth(station, stationUp, brk, s.now())
+	writeBody(w, http.StatusAccepted, sh.appendJSON)
 }
 
 // setOperatorUp records the operator's word on station i in the tally,
